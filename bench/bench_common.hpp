@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <future>
 #include <memory>
 #include <string>
 #include <utility>
@@ -25,6 +27,8 @@
 #include "models/temponet.hpp"
 #include "nn/losses.hpp"
 #include "runtime/compile_models.hpp"
+#include "serve/inference_server.hpp"
+#include "tensor/error.hpp"
 
 namespace pit::bench {
 
@@ -95,6 +99,28 @@ inline FILE* open_bench_json(const char* path) {
     std::fprintf(stderr, "cannot write %s\n", path);
   }
   return json;
+}
+
+// ---------------------------------------------------------------- serving
+
+/// Blocking request over InferenceServer::try_submit for closed-loop bench
+/// clients: parks the calling thread until the completion delivers the
+/// output, and rethrows an execution error. A rejected request (queue full
+/// or server shut down) throws instead of silently dropping a sample.
+inline Tensor submit_blocking(serve::InferenceServer& server, Tensor input) {
+  std::promise<Tensor> result;
+  std::future<Tensor> out = result.get_future();
+  const bool accepted = server.try_submit(
+      std::move(input), [&result](Tensor&& y, std::exception_ptr err) {
+        if (err != nullptr) {
+          result.set_exception(err);
+        } else {
+          result.set_value(std::move(y));
+        }
+      });
+  PIT_CHECK(accepted, "submit_blocking: InferenceServer::try_submit "
+                      "rejected the request (queue full or shut down)");
+  return out.get();
 }
 
 // ---------------------------------------------------------- configurations

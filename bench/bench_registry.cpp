@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
     const Tensor sample =
         Tensor::randn(Shape{window_cfg.input_channels, kSteps}, rng);
     while (!stop.load(std::memory_order_relaxed)) {
-      server.submit(sample.clone()).get();
+      bench::submit_blocking(server, sample.clone());
       window_requests.fetch_add(1, std::memory_order_relaxed);
     }
   });

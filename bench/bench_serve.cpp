@@ -72,7 +72,7 @@ Row drive_server(const std::shared_ptr<const runtime::CompiledPlan>& plan,
         const Tensor& sample =
             samples[static_cast<std::size_t>(c + i) % samples.size()];
         const auto t0 = clock_type::now();
-        server.submit(sample.clone()).get();
+        bench::submit_blocking(server, sample.clone());
         lat.push_back(ms_between(t0, clock_type::now()));
       }
     });
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   model.eval();
   const auto plan = runtime::compile_plan(model);
 
-  // Single (1, C, T) samples for the direct loop, (C, T) for submit().
+  // Single (1, C, T) samples for the direct loop, (C, T) for the server.
   std::vector<Tensor> batched_samples;
   std::vector<Tensor> flat_samples;
   for (int i = 0; i < 16; ++i) {

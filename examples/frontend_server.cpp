@@ -69,7 +69,7 @@ int run_smoke() {
     return 1;
   }
 
-  // SUBMIT parity: socket bytes vs a direct in-process submit().get().
+  // SUBMIT parity: socket bytes vs a direct in-process blocking try_submit().
   RandomEngine rng(99);
   std::vector<float> wire_out;
   for (int i = 0; i < 8; ++i) {
@@ -82,7 +82,7 @@ int run_smoke() {
                    client.last_error().message.c_str());
       return 1;
     }
-    const Tensor direct = server.submit(window.clone()).get();
+    const Tensor direct = bench::submit_blocking(server, window.clone());
     if (wire_out.size() != static_cast<std::size_t>(direct.numel())) {
       std::fprintf(stderr, "smoke: RESULT size mismatch\n");
       return 1;

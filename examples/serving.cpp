@@ -2,7 +2,8 @@
 //
 // One immutable CompiledPlan is shared by everything here:
 //   1. an InferenceServer batches concurrent single-sample requests from
-//      client threads into whole-batch forwards (throughput mode),
+//      client threads into whole-batch forwards (throughput mode); each
+//      request's completion callback runs once its batch has executed,
 //   2. a StreamSession consumes one time step at a time through per-conv
 //      ring-buffer history (latency mode), checked against the
 //      whole-sequence forward.
@@ -14,7 +15,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <future>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -52,21 +53,36 @@ int main() {
   constexpr int kPerClient = 32;
   std::vector<std::thread> clients;
   std::atomic<int> delivered{0};
+  std::atomic<int> refused{0};
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       RandomEngine client_rng(100 + static_cast<std::uint64_t>(c));
       for (int i = 0; i < kPerClient; ++i) {
         Tensor sample =
             Tensor::randn(Shape{cfg.input_channels, index_t{64}}, client_rng);
-        const Tensor out = server.submit(std::move(sample)).get();
-        if (out.defined()) {
-          ++delivered;
+        // try_submit never blocks: the callback runs later on a server
+        // worker, once the coalesced batch holding this sample has run.
+        const bool accepted = server.try_submit(
+            std::move(sample),
+            [&delivered](Tensor&& out, std::exception_ptr err) {
+              if (err == nullptr && out.defined()) {
+                ++delivered;
+              }
+            });
+        if (!accepted) {
+          ++refused;  // queue full: a real client would back off
         }
       }
     });
   }
   for (std::thread& t : clients) {
     t.join();
+  }
+  server.shutdown();  // drains the queue: every accepted callback has run
+  if (refused.load() > 0 || delivered.load() != kClients * kPerClient) {
+    std::fprintf(stderr, "served %d of %d requests (%d refused)\n",
+                 delivered.load(), kClients * kPerClient, refused.load());
+    return 1;
   }
   const serve::ServerStats stats = server.stats();
   std::printf("served %d requests from %d client threads\n", delivered.load(),

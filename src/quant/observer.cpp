@@ -1,28 +1,10 @@
 #include "quant/observer.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "tensor/error.hpp"
 
 namespace pit::quant {
-
-namespace {
-
-/// First-batch headroom: the frozen histogram covers 4x the first batch's
-/// spread so later batches rarely saturate the edge bins.
-constexpr float kHistogramHeadroom = 4.0F;
-
-}  // namespace
-
-RangeObserver::RangeObserver(ObserverConfig config) : config_(config) {
-  PIT_CHECK(config_.percentile > 0.5 && config_.percentile <= 1.0,
-            "RangeObserver: percentile " << config_.percentile
-                                         << " outside (0.5, 1]");
-  PIT_CHECK(config_.histogram_bins >= 16,
-            "RangeObserver: need >= 16 histogram bins, got "
-                << config_.histogram_bins);
-}
 
 void RangeObserver::observe(std::span<const float> values) {
   if (values.empty()) {
@@ -42,69 +24,11 @@ void RangeObserver::observe(std::span<const float> values) {
     max_ = std::max(max_, hi);
   }
   count_ += values.size();
-
-  if (config_.kind != ObserverKind::kPercentile) {
-    return;
-  }
-  if (!hist_frozen_) {
-    // Freeze bounds on the first batch, widened so the tails of later
-    // batches still resolve; values beyond them clamp to the edge bins,
-    // which only makes the percentile estimate more conservative.
-    const float spread = std::max(hi - lo, kMinScale);
-    const float pad = (kHistogramHeadroom - 1.0F) * 0.5F * spread;
-    hist_lo_ = lo - pad;
-    hist_hi_ = hi + pad;
-    counts_.assign(static_cast<std::size_t>(config_.histogram_bins), 0);
-    hist_frozen_ = true;
-  }
-  const float inv_width = static_cast<float>(config_.histogram_bins) /
-                          (hist_hi_ - hist_lo_);
-  const int last = config_.histogram_bins - 1;
-  for (const float v : values) {
-    const int bin = static_cast<int>((v - hist_lo_) * inv_width);
-    counts_[static_cast<std::size_t>(std::clamp(bin, 0, last))] += 1;
-  }
-}
-
-void RangeObserver::calibrated_range(float* lo, float* hi) const {
-  PIT_CHECK(seen(), "RangeObserver: no values observed");
-  *lo = min_;
-  *hi = max_;
-  if (config_.kind != ObserverKind::kPercentile || count_ < 16) {
-    return;
-  }
-  // Walk the histogram in from both ends until each tail holds more than
-  // (1 - percentile) of the mass; bin edges give the clipped range.
-  const auto tail_budget = static_cast<std::uint64_t>(
-      (1.0 - config_.percentile) * static_cast<double>(count_));
-  const float width = (hist_hi_ - hist_lo_) /
-                      static_cast<float>(config_.histogram_bins);
-  std::uint64_t mass = 0;
-  int lo_bin = 0;
-  for (; lo_bin < config_.histogram_bins - 1; ++lo_bin) {
-    mass += counts_[static_cast<std::size_t>(lo_bin)];
-    if (mass > tail_budget) {
-      break;
-    }
-  }
-  mass = 0;
-  int hi_bin = config_.histogram_bins - 1;
-  for (; hi_bin > lo_bin; --hi_bin) {
-    mass += counts_[static_cast<std::size_t>(hi_bin)];
-    if (mass > tail_budget) {
-      break;
-    }
-  }
-  // Clip is only ever a *narrowing* of the observed min/max.
-  *lo = std::max(min_, hist_lo_ + width * static_cast<float>(lo_bin));
-  *hi = std::min(max_, hist_lo_ + width * static_cast<float>(hi_bin + 1));
 }
 
 QuantParams RangeObserver::affine_u8_params() const {
-  float lo = 0.0F;
-  float hi = 0.0F;
-  calibrated_range(&lo, &hi);
-  return affine_u8_from_range(lo, hi);
+  PIT_CHECK(seen(), "RangeObserver: no values observed");
+  return affine_u8_from_range(min_, max_);
 }
 
 }  // namespace pit::quant

@@ -1,49 +1,27 @@
-// Activation-range observers for post-training calibration.
+// Activation-range observer for post-training calibration.
 //
 // The quantized compiled runtime (runtime/quantize_plan.hpp) runs the fp32
 // plan over a calibration set and feeds every intermediate activation
-// tensor through one RangeObserver per value. After the sweep the observer
-// yields the affine u8 parameters that value will be stored with.
-//
-// Two policies:
-//   - kMinMax (default): the exact observed [min, max]. Deterministic and
-//     tight on well-behaved data, but a single outlier stretches the range
-//     and wastes quantization resolution on values that almost never occur.
-//   - kPercentile: clip the range to the [1-p, p] quantile of the observed
-//     distribution, approximated with a fixed histogram whose bounds are
-//     frozen after the first batch (values beyond the frozen bounds land
-//     in the edge bins). Everything is counting — no randomness — so the
-//     same calibration stream always produces bit-identical parameters.
+// tensor through one RangeObserver per value. The observer keeps the
+// exact observed [min, max]; after the sweep it yields the affine u8
+// parameters that value will be stored with. Min/max is deterministic —
+// the same calibration stream always produces bit-identical parameters —
+// and, unlike a clipping policy, leaves no calibrated value outside the
+// range the analytic error bound assumes.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "quant/quantize.hpp"
 
 namespace pit::quant {
 
-enum class ObserverKind {
-  kMinMax = 0,
-  kPercentile = 1,
-};
-
-struct ObserverConfig {
-  ObserverKind kind = ObserverKind::kMinMax;
-  /// Quantile kept per tail under kPercentile (0.5 < percentile <= 1).
-  double percentile = 0.999;
-  /// Histogram resolution under kPercentile.
-  int histogram_bins = 2048;
-};
-
-/// Accumulates the value distribution of one activation tensor across
+/// Accumulates the value range of one activation tensor across
 /// calibration batches. observe() may be called any number of times;
 /// order of values within a call does not affect the result.
 class RangeObserver {
  public:
-  explicit RangeObserver(ObserverConfig config = {});
-
   void observe(std::span<const float> values);
 
   /// True once observe() has seen at least one value.
@@ -52,27 +30,15 @@ class RangeObserver {
   float min() const { return min_; }
   float max() const { return max_; }
 
-  /// The calibrated [lo, hi] range under the configured policy. Requires
-  /// seen(); a percentile observer falls back to min/max while the
-  /// histogram holds fewer than a handful of values.
-  void calibrated_range(float* lo, float* hi) const;
-
-  /// Affine u8 parameters over calibrated_range() (the runtime's
-  /// activation encoding). Degenerate ranges are clamped by
-  /// affine_u8_from_range. Requires seen().
+  /// Affine u8 parameters over [min(), max()] (the runtime's activation
+  /// encoding). Degenerate ranges are clamped by affine_u8_from_range.
+  /// Requires seen().
   QuantParams affine_u8_params() const;
 
  private:
-  ObserverConfig config_;
   std::uint64_t count_ = 0;
   float min_ = 0.0F;
   float max_ = 0.0F;
-  // Percentile histogram: bounds frozen after the first batch (widened by
-  // a factor so later batches rarely clip), counts thereafter.
-  bool hist_frozen_ = false;
-  float hist_lo_ = 0.0F;
-  float hist_hi_ = 0.0F;
-  std::vector<std::uint64_t> counts_;
 };
 
 }  // namespace pit::quant

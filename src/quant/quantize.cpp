@@ -3,74 +3,24 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/conv1d.hpp"
 #include "tensor/error.hpp"
 
 namespace pit::quant {
 
-std::int8_t QuantParams::quantize(float v) const {
-  const float q = std::round(v / scale) + static_cast<float>(zero_point);
-  return static_cast<std::int8_t>(std::clamp(q, -128.0F, 127.0F));
-}
-
-QuantParams calibrate_symmetric(std::span<const float> values) {
-  // Degenerate inputs (empty tensor, all zeros) quantize everything to 0;
-  // the identity scale keeps the params usable instead of dividing by the
-  // observed (zero) range.
-  float max_abs = 0.0F;
-  for (const float v : values) {
-    max_abs = std::max(max_abs, std::fabs(v));
-  }
-  QuantParams params;
-  params.scale = max_abs > 0.0F ? std::max(max_abs / 127.0F, kMinScale) : 1.0F;
-  params.zero_point = 0;
-  return params;
-}
-
-QuantParams calibrate_affine(std::span<const float> values) {
-  if (values.empty()) {
-    return {};  // identity scale, zero point 0
-  }
-  float lo = values[0];
-  float hi = values[0];
-  for (const float v : values) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  return affine_from_range(lo, hi);
-}
-
-namespace {
-
-/// Shared affine calibration over a [lo, hi] range for a quantized
-/// integer domain [q_lo, q_hi]: widens the range to include zero and
-/// clamps degenerate (all-constant / denormal-width) ranges to kMinScale
-/// — a zero/denormal scale's reciprocal would overflow the zero point.
-QuantParams affine_from_range_impl(float lo, float hi, std::int32_t q_lo,
-                                   std::int32_t q_hi) {
-  PIT_CHECK(lo <= hi, "affine_from_range: lo " << lo << " > hi " << hi);
+QuantParams affine_u8_from_range(float lo, float hi) {
+  // Widens the range to include zero and clamps degenerate (all-constant
+  // / denormal-width) ranges to kMinScale — a zero/denormal scale's
+  // reciprocal would overflow the zero point.
+  PIT_CHECK(lo <= hi, "affine_u8_from_range: lo " << lo << " > hi " << hi);
   lo = std::min(lo, 0.0F);  // representable zero, as inference libs require
   hi = std::max(hi, 0.0F);
   QuantParams params;
   const float range = hi - lo;
-  params.scale =
-      range > 0.0F
-          ? std::max(range / static_cast<float>(q_hi - q_lo), kMinScale)
-          : 1.0F;
-  params.zero_point = static_cast<std::int32_t>(
-      std::round(static_cast<float>(q_lo) - lo / params.scale));
-  params.zero_point = std::clamp(params.zero_point, q_lo, q_hi);
+  params.scale = range > 0.0F ? std::max(range / 255.0F, kMinScale) : 1.0F;
+  params.zero_point =
+      static_cast<std::int32_t>(std::round(-lo / params.scale));
+  params.zero_point = std::clamp(params.zero_point, 0, 255);
   return params;
-}
-
-}  // namespace
-
-QuantParams affine_from_range(float lo, float hi) {
-  return affine_from_range_impl(lo, hi, -128, 127);
-}
-
-QuantParams affine_u8_from_range(float lo, float hi) {
-  return affine_from_range_impl(lo, hi, 0, 255);
 }
 
 std::uint8_t quantize_u8(float v, const QuantParams& params) {
@@ -80,96 +30,6 @@ std::uint8_t quantize_u8(float v, const QuantParams& params) {
   const long q =
       std::lrintf(v * (1.0F / params.scale)) + params.zero_point;
   return static_cast<std::uint8_t>(std::clamp(q, 0L, 255L));
-}
-
-std::vector<std::int8_t> quantize_tensor(std::span<const float> values,
-                                         const QuantParams& params) {
-  std::vector<std::int8_t> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = params.quantize(values[i]);
-  }
-  return out;
-}
-
-std::vector<float> dequantize_tensor(std::span<const std::int8_t> values,
-                                     const QuantParams& params) {
-  std::vector<float> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = params.dequantize(values[i]);
-  }
-  return out;
-}
-
-double max_roundtrip_error(std::span<const float> values,
-                           const QuantParams& params) {
-  double worst = 0.0;
-  for (const float v : values) {
-    const float back = params.dequantize(params.quantize(v));
-    worst = std::max(worst, static_cast<double>(std::fabs(back - v)));
-  }
-  return worst;
-}
-
-Tensor quantized_causal_conv1d(const Tensor& x, const Tensor& weight,
-                               const Tensor& bias, index_t dilation,
-                               index_t stride, const QuantParams& x_quant) {
-  PIT_CHECK(x.rank() == 3 && weight.rank() == 3,
-            "quantized_causal_conv1d: bad ranks");
-  PIT_CHECK(x.dim(1) == weight.dim(1), "quantized_causal_conv1d: Cin");
-  const QuantParams w_quant = calibrate_symmetric(weight.span());
-  const auto xq = quantize_tensor(x.span(), x_quant);
-  const auto wq = quantize_tensor(weight.span(), w_quant);
-
-  const index_t n = x.dim(0);
-  const index_t cin = x.dim(1);
-  const index_t t_in = x.dim(2);
-  const index_t cout = weight.dim(0);
-  const index_t k = weight.dim(2);
-  const index_t t_out = nn::causal_conv1d_output_steps(t_in, stride);
-
-  Tensor out = Tensor::zeros(Shape{n, cout, t_out});
-  const float out_scale = x_quant.scale * w_quant.scale;
-  for (index_t ni = 0; ni < n; ++ni) {
-    for (index_t co = 0; co < cout; ++co) {
-      for (index_t t = 0; t < t_out; ++t) {
-        std::int64_t acc = 0;  // int32 accumulator semantics (no overflow
-                               // at our sizes; int64 keeps the check simple)
-        for (index_t ci = 0; ci < cin; ++ci) {
-          for (index_t i = 0; i < k; ++i) {
-            const index_t src = t * stride - i * dilation;
-            if (src < 0) {
-              continue;
-            }
-            const std::int32_t xv =
-                xq[static_cast<std::size_t>((ni * cin + ci) * t_in + src)] -
-                x_quant.zero_point;
-            const std::int32_t wv =
-                wq[static_cast<std::size_t>((co * cin + ci) * k + i)];
-            acc += static_cast<std::int64_t>(xv) * wv;
-          }
-        }
-        float value = out_scale * static_cast<float>(acc);
-        if (bias.defined()) {
-          value += bias.data()[co];
-        }
-        out.data()[(ni * cout + co) * t_out + t] = value;
-      }
-    }
-  }
-  return out;
-}
-
-double fake_quantize_parameters(nn::Module& model) {
-  double worst = 0.0;
-  for (const nn::NamedParameter& p : model.named_parameters()) {
-    Tensor value = p.value;
-    const QuantParams params = calibrate_symmetric(value.span());
-    worst = std::max(worst, max_roundtrip_error(value.span(), params));
-    for (float& v : value.span()) {
-      v = params.dequantize(params.quantize(v));
-    }
-  }
-  return worst;
 }
 
 index_t int8_model_bytes(index_t params, index_t int32_bias_params) {

@@ -1,19 +1,19 @@
-// int8 post-training quantization (the paper deploys int8 models through
-// GreenWaves' NN-Tool; this module is our stand-in for that flow).
+// int8 quantization primitives of the compiled runtime's int8 program (the
+// paper deploys int8 models through GreenWaves' NN-Tool; the quantized
+// CompiledPlan built by runtime::quantize_plan() is our stand-in for that
+// flow).
 //
-// Weights use per-tensor symmetric quantization (zero point 0); activations
-// use per-tensor affine quantization calibrated from observed ranges. A
-// quantized conv kernel with int32 accumulation validates that the numeric
-// behaviour survives the int8 round trip, and fake-quantization utilities
-// let any trained float model be evaluated "as deployed".
+// That program has one scheme: per-output-channel symmetric s8 weights
+// (packed by the lowering, runtime/quant_lowering.cpp) and per-tensor
+// affine u8 activations whose ranges a quant::RangeObserver records during
+// calibration. This header holds the activation encoding both sides share —
+// the affine parameters, their range calibration, and the u8 quantizer —
+// plus the int8 model-size accounting the GAP8 model reports.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
-#include "nn/module.hpp"
-#include "tensor/tensor.hpp"
+#include "tensor/shape.hpp"
 
 namespace pit::quant {
 
@@ -31,54 +31,21 @@ struct QuantParams {
   float dequantize(std::int32_t q) const {
     return scale * static_cast<float>(q - zero_point);
   }
-  std::int8_t quantize(float v) const;
 };
 
-/// Symmetric int8 parameters from the max absolute value (weights).
-/// Degenerate inputs (empty span, all-zero values) yield the identity
-/// scale 1; a tiny but non-zero range is clamped to kMinScale.
-QuantParams calibrate_symmetric(std::span<const float> values);
-
-/// Affine int8 parameters from the [min, max] range (activations).
-/// Degenerate inputs are guarded the same way as calibrate_symmetric.
-QuantParams calibrate_affine(std::span<const float> values);
-
-/// Affine int8 parameters from an explicit [lo, hi] range (e.g. a range
-/// accumulated by a RangeObserver over many calibration batches). The
-/// range is widened to include zero and clamped to kMinScale.
-QuantParams affine_from_range(float lo, float hi);
-
-/// Affine *uint8* parameters from an explicit [lo, hi] range: real value
-/// = scale * (q - zero_point) with q in [0, 255] and zero_point in
+/// Affine *uint8* parameters from an explicit [lo, hi] range (e.g. a range
+/// accumulated by a RangeObserver over many calibration batches): real
+/// value = scale * (q - zero_point) with q in [0, 255] and zero_point in
 /// [0, 255]. This is the activation encoding of the quantized compiled
 /// runtime (unsigned activations feed the u8 x s8 dot-product kernels).
+/// The range is widened to include zero; an empty (lo == hi == 0) range
+/// yields the identity scale 1, and a tiny but non-zero one is clamped to
+/// kMinScale.
 QuantParams affine_u8_from_range(float lo, float hi);
 
 /// Quantizes to the u8 encoding of affine_u8_from_range: round-to-nearest
 /// of v/scale + zero_point, clamped to [0, 255].
 std::uint8_t quantize_u8(float v, const QuantParams& params);
-
-std::vector<std::int8_t> quantize_tensor(std::span<const float> values,
-                                         const QuantParams& params);
-std::vector<float> dequantize_tensor(std::span<const std::int8_t> values,
-                                     const QuantParams& params);
-
-/// Worst-case absolute error of the round trip: <= scale/2 within range.
-double max_roundtrip_error(std::span<const float> values,
-                           const QuantParams& params);
-
-/// int8 causal dilated convolution with int32 accumulators, matching the
-/// float reference within quantization error. x is (N, C, T) float (it is
-/// quantized internally with `x_quant`); the weight is quantized with
-/// per-tensor symmetric parameters; the float output is reconstructed.
-Tensor quantized_causal_conv1d(const Tensor& x, const Tensor& weight,
-                               const Tensor& bias, index_t dilation,
-                               index_t stride, const QuantParams& x_quant);
-
-/// Rounds every parameter of the module through int8 in place (symmetric
-/// per-tensor), simulating deployed weights. Returns the worst per-tensor
-/// round-trip error.
-double fake_quantize_parameters(nn::Module& model);
 
 /// int8 model size in bytes: one byte per parameter (biases are kept at
 /// int32 by deployment flows; `int32_bias_params` counts those).

@@ -37,7 +37,7 @@ std::shared_ptr<const CompiledPlan> compile_plan(
   NetBuilder b;
   ValueId x = b.input(cfg.input_channels, cfg.input_length);
   const std::vector<nn::Module*> convs = model.temporal_convs();
-  PIT_CHECK(convs.size() == 7, "compile(TempoNet): expected 7 convs");
+  PIT_CHECK(convs.size() == 7, "compile_plan(TempoNet): expected 7 convs");
   std::size_t pool_idx = 0;
   for (std::size_t i = 0; i < convs.size(); ++i) {
     FrozenConv fc = freeze_temporal_conv(*convs[i]);
@@ -65,7 +65,7 @@ std::shared_ptr<const CompiledPlan> compile_plan(const models::ResTCN& model,
   ValueId x = b.input(cfg.input_channels, input_steps);
   const std::vector<nn::Module*> convs = model.temporal_convs();
   PIT_CHECK(convs.size() == 2 * model.num_blocks(),
-            "compile(ResTCN): " << convs.size() << " convs for "
+            "compile_plan(ResTCN): " << convs.size() << " convs for "
                                 << model.num_blocks() << " blocks");
   for (std::size_t blk = 0; blk < model.num_blocks(); ++blk) {
     ValueId y = b.conv(x, freeze_temporal_conv(*convs[2 * blk]),
@@ -102,14 +102,6 @@ std::shared_ptr<const CompiledPlan> compile_stream_backbone(
   PIT_CHECK(plan->streamable(),
             "compile_stream_backbone(TempoNet): plan is not streamable");
   return plan;
-}
-
-CompiledNet compile(const models::TempoNet& model) {
-  return CompiledNet(compile_plan(model));
-}
-
-CompiledNet compile(const models::ResTCN& model, index_t input_steps) {
-  return CompiledNet(compile_plan(model, input_steps));
 }
 
 }  // namespace pit::runtime

@@ -33,11 +33,8 @@
 // threads may call forward()/step() on ONE shared plan concurrently as long
 // as each thread uses its OWN context; a single context must never be used
 // from two threads at once. The serving layer (src/serve) builds on exactly
-// this split: one shared plan, one context per worker thread.
-//
-// The CompiledNet facade at the bottom of this header bundles a plan with
-// one private context for single-threaded callers; it is NOT thread-safe —
-// share the underlying plan() instead.
+// this split: one shared plan, one context per worker thread. A
+// single-threaded caller does the same with one plan and one context.
 #pragma once
 
 #include <cstdint>
@@ -489,45 +486,6 @@ class NetBuilder {
   std::vector<detail::Value> values_;
   BlockTable<float> params_;
   ValueId input_ = -1;
-};
-
-/// Single-threaded convenience facade: one shared plan bundled with one
-/// private context, keeping the original pre-split API. NOT thread-safe —
-/// concurrent callers must share plan() and bring their own contexts.
-class CompiledNet {
- public:
-  explicit CompiledNet(CompiledPlan plan)
-      : plan_(std::make_shared<const CompiledPlan>(std::move(plan))) {}
-  explicit CompiledNet(std::shared_ptr<const CompiledPlan> plan)
-      : plan_(std::move(plan)) {}
-
-  Tensor forward(const Tensor& input) { return plan_->forward(input, ctx_); }
-  /// Streaming single-step on the facade's private context.
-  Tensor step(const Tensor& input) { return plan_->step(input, ctx_); }
-  void reset_stream() { ctx_.reset_stream(); }
-
-  /// The immutable plan — hand this (plus per-thread contexts) to
-  /// concurrent callers, e.g. serve::InferenceServer.
-  const std::shared_ptr<const CompiledPlan>& plan() const { return plan_; }
-
-  bool streamable() const { return plan_->streamable(); }
-  index_t input_channels() const { return plan_->input_channels(); }
-  index_t input_steps() const { return plan_->input_steps(); }
-  index_t output_channels() const { return plan_->output_channels(); }
-  index_t output_steps() const { return plan_->output_steps(); }
-  index_t arena_floats_per_sample() const {
-    return plan_->arena_floats_per_sample();
-  }
-  index_t activation_floats_per_sample() const {
-    return plan_->activation_floats_per_sample();
-  }
-  index_t param_floats() const { return plan_->param_floats(); }
-  std::size_t num_ops() const { return plan_->num_ops(); }
-  std::string summary() const { return plan_->summary(); }
-
- private:
-  std::shared_ptr<const CompiledPlan> plan_;
-  ExecutionContext ctx_;
 };
 
 }  // namespace pit::runtime

@@ -163,7 +163,7 @@ std::uint64_t PlanRegistry::register_plan(
 
 std::shared_ptr<const CompiledPlan> PlanRegistry::quantized(
     const std::string& model, std::uint64_t version,
-    const data::DataLoader& calibration, QuantizeOptions options) {
+    const data::DataLoader& calibration) {
   ModelEntry* e = entry(model);
   std::shared_ptr<const CompiledPlan> src;
   {
@@ -182,9 +182,8 @@ std::shared_ptr<const CompiledPlan> PlanRegistry::quantized(
   // Calibrate + lower outside the lock (this runs whole forward passes).
   // s8 weights depend only on the fp32 weights, so interning through the
   // registry pool dedups unchanged layers across versions' lowerings.
-  options.pool = &pool_;
   std::shared_ptr<const CompiledPlan> lowered =
-      quantize_plan(*src, calibration, options);
+      quantize_plan(*src, calibration, {.pool = &pool_});
   std::lock_guard<std::mutex> lock(registry_mutex_);
   VersionState& v = e->versions[version - 1];
   if (v.int8 != nullptr) {

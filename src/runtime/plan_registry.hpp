@@ -222,7 +222,7 @@ class PlanRegistry : public std::enable_shared_from_this<PlanRegistry> {
   /// recalibrating; s8 weight blocks intern through the registry pool.
   std::shared_ptr<const CompiledPlan> quantized(
       const std::string& model, std::uint64_t version,
-      const data::DataLoader& calibration, QuantizeOptions options = {});
+      const data::DataLoader& calibration);
 
   /// Makes `version` the active version of `model`. New acquires see the
   /// new version immediately; this call returns only after every lease

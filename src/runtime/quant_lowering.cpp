@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "nn/kernels/registry.hpp"
+#include "quant/observer.hpp"
 #include "runtime/arena.hpp"
 #include "runtime/executor_detail.hpp"
 #include "runtime/verify.hpp"
@@ -74,8 +75,7 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
 
   // ---- calibrate ---------------------------------------------------------
   const std::size_t nsrc_values = src.values_.size();
-  std::vector<quant::RangeObserver> observers(
-      nsrc_values, quant::RangeObserver(options.observer));
+  std::vector<quant::RangeObserver> observers(nsrc_values);
   const CompiledPlan::ValueHook hook =
       [&](ValueId v, const float* data, index_t rows, index_t steps,
           index_t stride) {
@@ -92,7 +92,7 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
         }
       };
   const index_t batches =
-      std::min(calib.num_batches(), options.max_calibration_batches);
+      std::min(calib.num_batches(), kMaxCalibrationBatches);
   PIT_CHECK(batches >= 1, "quantize_plan: empty calibration loader");
   {
     ExecutionContext cctx;
@@ -129,21 +129,14 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
   const std::size_t nvals = q.values_.size();
   const auto stage = static_cast<std::size_t>(q.q_stage_);
 
-  // ---- per-value quantization parameters and clip error ------------------
+  // ---- per-value quantization parameters ---------------------------------
   q.qvalue_.assign(nvals, quant::QuantParams{});
-  std::vector<double> clip_err(nvals, 0.0);
   std::vector<double> xmax(nvals, 0.0);
   for (std::size_t v = 0; v < nsrc_values; ++v) {
     if (src.root_[v] != static_cast<ValueId>(v) || !observers[v].seen()) {
       continue;
     }
     q.qvalue_[v] = observers[v].affine_u8_params();
-    float lo = 0.0F;
-    float hi = 0.0F;
-    observers[v].calibrated_range(&lo, &hi);
-    clip_err[v] = std::max(
-        0.0, std::max(static_cast<double>(lo) - observers[v].min(),
-                      static_cast<double>(observers[v].max()) - hi));
     xmax[v] = std::max(std::fabs(static_cast<double>(observers[v].min())),
                        std::fabs(static_cast<double>(observers[v].max())));
   }
@@ -155,7 +148,6 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
     }
   }
   q.qvalue_[stage] = q.qvalue_[in_root];
-  clip_err[stage] = clip_err[in_root];
   xmax[stage] = xmax[in_root];
 
   // ---- byte-row layout: zero-point lead before every conv input ----------
@@ -247,7 +239,7 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
   std::vector<double> var(nvals, 0.0);     // RMS model variance
   {
     const double s_in = q.qvalue_[stage].scale;
-    bound[stage] = s_in / 2.0 + clip_err[stage];
+    bound[stage] = s_in / 2.0;
     var[stage] = s_in * s_in / 12.0;
     bound[in_root] = bound[stage];
     var[in_root] = var[stage];
@@ -263,13 +255,9 @@ std::shared_ptr<const CompiledPlan> QuantizedCompiler::quantize(
     const quant::QuantParams px = q.qvalue_[rin];
     const quant::QuantParams py = q.qvalue_[rout];
     const double e_in = bound[rin];
-    const double e_store =
-        qop.out_float ? 0.0 : py.scale / 2.0 + clip_err[rout];
+    const double e_store = qop.out_float ? 0.0 : py.scale / 2.0;
     const double var_store =
-        qop.out_float
-            ? 0.0
-            : static_cast<double>(py.scale) * py.scale / 12.0 +
-                  clip_err[rout] * clip_err[rout];
+        qop.out_float ? 0.0 : static_cast<double>(py.scale) * py.scale / 12.0;
     qop.out_lo = (!qop.out_float && op.relu) ? py.zero_point : 0;
 
     if (op.kind == detail::OpKind::kConv ||

@@ -6,9 +6,9 @@
 // quantize_plan() takes a frozen fp32 CompiledPlan and:
 //
 //   calibrate — runs the fp32 plan over a calibration loader, feeding
-//               every intermediate activation through one
-//               quant::RangeObserver per value (min/max by default, an
-//               optional percentile histogram for outlier-robust ranges),
+//               every intermediate activation through one min/max
+//               quant::RangeObserver per value, over at most
+//               kMaxCalibrationBatches batches,
 //   lower     — quantizes each op: per-output-channel symmetric s8
 //               weights (recovered from the already-BN-folded fp32
 //               params), per-tensor affine u8 activations, and one float
@@ -35,8 +35,8 @@
 // batched int8 forward's columns bit-exactly.
 //
 // Error accounting: the lowering propagates two per-value figures —
-//   - a worst-case bound (interval arithmetic over rounding, weight
-//     quantization, and percentile clipping), guaranteed for inputs
+//   - a worst-case bound (interval arithmetic over rounding and weight
+//     quantization), guaranteed for inputs
 //     inside the calibrated range but exponentially loose in depth, and
 //   - an RMS estimate (independent-rounding model), the realistic error
 //     magnitude.
@@ -49,17 +49,15 @@
 #include <vector>
 
 #include "data/dataloader.hpp"
-#include "quant/observer.hpp"
 #include "runtime/compile_models.hpp"
 #include "runtime/compiled_net.hpp"
 
 namespace pit::runtime {
 
+/// Calibration batches consumed from the loader (clamped to its size).
+inline constexpr index_t kMaxCalibrationBatches = 32;
+
 struct QuantizeOptions {
-  /// Activation-range policy (min/max or percentile histogram).
-  quant::ObserverConfig observer;
-  /// Calibration batches consumed from the loader (clamped to its size).
-  index_t max_calibration_batches = 32;
   /// Optional shared intern pool for the packed s8 weight blocks (weight
   /// quantization depends only on the fp32 weights, so identical layers
   /// dedup across plan versions). Must outlive the returned plan's use of

@@ -2,17 +2,19 @@
 //
 // InferenceServer turns a registry-managed model (runtime::PlanHandle) —
 // or, through the adapter constructor, one immutable CompiledPlan — into
-// a request/response service: callers submit() single samples from any
-// thread and get a future; a pool of worker threads — each owning its own ExecutionContext,
-// which is what makes concurrent execution of the shared plan safe (see
-// the thread-safety contract in runtime/compiled_net.hpp) — drains a
-// dynamic micro-batching queue. Requests coalesce until either max_batch
-// samples are waiting or the oldest request has waited max_wait, then run
-// as ONE batched forward; the batch is split back into per-request output
-// tensors. Micro-batching is the classic serving trade: a bounded latency
-// tax on the first request in a batch buys amortized per-op dispatch and
-// kernel efficiency across the whole batch — the knob that lets the
-// single-shot runtime of PR 2 hold up under many concurrent clients.
+// a request/response service: callers try_submit() single samples from
+// any thread with a completion callback, which runs exactly once with the
+// sample's output (or the batch's error). A pool of worker threads — each
+// owning its own ExecutionContext, which is what makes concurrent
+// execution of the shared plan safe (see the thread-safety contract in
+// runtime/compiled_net.hpp) — drains a dynamic micro-batching queue.
+// Requests coalesce until either max_batch samples are waiting or the
+// oldest request has waited max_wait, then run as ONE batched forward; the
+// batch is split back into per-request output tensors. Micro-batching is
+// the classic serving trade: a bounded latency tax on the first request in
+// a batch buys amortized per-op dispatch and kernel efficiency across the
+// whole batch — the knob that lets the single-shot runtime hold up under
+// many concurrent clients.
 //
 // For latency-critical single-sample flows (one time step arriving at a
 // time), see StreamSession in stream_session.hpp; for session-scale
@@ -25,8 +27,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -45,7 +47,8 @@ struct ServerOptions {
   index_t max_batch = 16;
   /// ...or once the oldest queued request has waited this long.
   std::chrono::microseconds max_wait{200};
-  /// Backpressure: submit() throws once this many requests are queued.
+  /// Backpressure: try_submit() returns false once this many requests
+  /// are queued.
   std::size_t max_queue = 4096;
   /// OpenMP threads each worker grants the kernels (intra-op parallelism).
   /// 1 — the default — dedicates each core to a worker, which is how a
@@ -54,8 +57,8 @@ struct ServerOptions {
 };
 
 struct ServerStats {
-  std::uint64_t requests = 0;   // accepted by submit()
-  std::uint64_t completed = 0;  // futures fulfilled (including errors)
+  std::uint64_t requests = 0;   // accepted by try_submit()
+  std::uint64_t completed = 0;  // completions delivered (including errors)
   std::uint64_t batches = 0;    // batched forwards executed
   index_t max_batch_executed = 0;
   /// Mean coalesced batch size — the micro-batching win in one number.
@@ -85,12 +88,6 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Enqueues one sample — (C, T), or (C,) when the plan's input has a
-  /// single step — and returns a future for its output tensor ((C_out, T_out)
-  /// or (C_out,)). Throws pit::Error on a shape mismatch, when the queue is
-  /// full, or after shutdown. The future carries any execution error.
-  std::future<Tensor> submit(Tensor input);
-
   /// Completion callback for try_submit. Exactly one of the arguments is
   /// meaningful: on success the output tensor, on failure the exception
   /// that killed the batch. Runs on a worker thread holding NO server
@@ -98,12 +95,14 @@ class InferenceServer {
   /// stalls the whole batch's worker).
   using Completion = std::function<void(Tensor&&, std::exception_ptr)>;
 
-  /// Callback flavor of submit() for event-loop callers that must never
-  /// park a thread on a future (src/net/front_end.cpp). Same queue, same
-  /// batching, same shape validation (a bad shape still throws — that is
-  /// a caller bug, not load). Returns false instead of throwing when the
-  /// queue is full or the server is shutting down: those are load/
-  /// lifecycle signals the caller turns into fast-reject responses.
+  /// Enqueues one sample — (C, T), or (C,) when the plan's input has a
+  /// single step. On acceptance `done` later runs exactly once with the
+  /// output tensor ((C_out, T_out) or (C_out,)) or the execution error. A
+  /// bad shape throws pit::Error (a caller bug, not load). Returns false —
+  /// and `done` never runs — when the queue is full or the server is
+  /// shutting down: those are load/lifecycle signals the caller turns
+  /// into fast-reject responses (src/net/front_end.cpp) or, when it can
+  /// afford to park a thread, into an error of its own blocking wrapper.
   bool try_submit(Tensor input, Completion done);
 
   /// Stops accepting submissions, runs everything still queued, joins the
@@ -119,10 +118,8 @@ class InferenceServer {
  private:
   struct Request {
     Tensor input;
-    std::promise<Tensor> promise;  // future path (unused when async)
-    Completion done;               // callback path (async == true)
-    bool async = false;
-    bool delivered = false;  // success already handed out (error barrier)
+    Completion done;
+    bool delivered = false;  // completion already ran (error barrier)
     std::chrono::steady_clock::time_point enqueued;
   };
 
@@ -133,7 +130,7 @@ class InferenceServer {
   runtime::PlanHandle handle_;
   ServerOptions options_;
   // Versions of one model share geometry (the registry enforces it), so
-  // submit() validates shapes without resolving the active version.
+  // try_submit() validates shapes without resolving the active version.
   index_t in_channels_ = 0;
   index_t in_steps_ = 0;
   index_t out_channels_ = 0;

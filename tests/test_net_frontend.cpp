@@ -20,6 +20,7 @@
 #include "serve/inference_server.hpp"
 #include "serve/session_manager.hpp"
 #include "serve/stream_session.hpp"
+#include "server_requests.hpp"
 
 using namespace pit;
 
@@ -202,7 +203,7 @@ TEST(FrontEnd, SubmitParityIsBitExact) {
         rng);
     ASSERT_TRUE(client.submit(window.data(), wire_out))
         << client.last_error().message;
-    const Tensor direct = server.submit(window.clone()).get();
+    const Tensor direct = test::submit_blocking(server, window.clone());
     ASSERT_EQ(wire_out.size(), static_cast<std::size_t>(direct.numel()));
     EXPECT_EQ(std::memcmp(wire_out.data(), direct.data(),
                           wire_out.size() * sizeof(float)),

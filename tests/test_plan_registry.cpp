@@ -25,6 +25,7 @@
 #include "runtime/compile_models.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/session_manager.hpp"
+#include "server_requests.hpp"
 #include "tensor/error.hpp"
 
 namespace pit::runtime {
@@ -404,7 +405,7 @@ TEST(PlanRegistrySwap, SwapUnderLoadBitIdenticalToPinnedMirrors) {
     for (int i = 0; i < 3; ++i) {
       threads.emplace_back([&] {
         while (!stop.load(std::memory_order_relaxed)) {
-          const Tensor got = server.submit(sample.clone()).get();
+          const Tensor got = test::submit_blocking(server, sample.clone());
           bool matched = false;
           for (const auto& want : window_out) {
             if (static_cast<std::size_t>(got.numel()) == want.size() &&

@@ -1,63 +1,89 @@
-// int8 post-training quantization.
+// int8 quantization primitives of the compiled runtime: the affine u8
+// activation encoding, its range calibration (RangeObserver), and the
+// kMinScale clamps that keep degenerate calibration ranges usable.
 #include "quant/quantize.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
-#include "models/temponet.hpp"
-#include "nn/conv1d.hpp"
+#include "quant/observer.hpp"
 #include "tensor/error.hpp"
+#include "tensor/tensor.hpp"
 
 namespace pit::quant {
 namespace {
 
-TEST(QuantParams, SymmetricCalibrationCoversRange) {
-  std::vector<float> values = {-2.0F, 0.5F, 1.9F};
-  const QuantParams p = calibrate_symmetric(values);
-  EXPECT_EQ(p.zero_point, 0);
-  EXPECT_NEAR(p.scale, 2.0F / 127.0F, 1e-6);
-  // Extremes survive the round trip within half a scale step.
-  EXPECT_NEAR(p.dequantize(p.quantize(-2.0F)), -2.0F, p.scale / 2);
-  EXPECT_NEAR(p.dequantize(p.quantize(1.9F)), 1.9F, p.scale / 2);
+QuantParams observed_params(std::span<const float> values) {
+  RangeObserver obs;
+  obs.observe(values);
+  return obs.affine_u8_params();
+}
+
+void expect_usable(const QuantParams& p) {
+  EXPECT_GE(p.scale, kMinScale);
+  EXPECT_TRUE(std::isfinite(p.scale));
+  EXPECT_TRUE(std::isfinite(1.0F / p.scale));
+  EXPECT_GE(p.zero_point, 0);
+  EXPECT_LE(p.zero_point, 255);
 }
 
 TEST(QuantParams, AffineCalibrationHandlesAsymmetricRange) {
-  std::vector<float> values = {0.0F, 1.0F, 4.0F};  // activations after ReLU
-  const QuantParams p = calibrate_affine(values);
-  EXPECT_NEAR(p.dequantize(p.quantize(0.0F)), 0.0F, p.scale / 2);
-  EXPECT_NEAR(p.dequantize(p.quantize(4.0F)), 4.0F, p.scale / 2);
-  EXPECT_NEAR(p.dequantize(p.quantize(2.3F)), 2.3F, p.scale / 2);
+  const std::vector<float> values = {0.0F, 1.0F, 4.0F};  // after ReLU
+  const QuantParams p = observed_params(values);
+  EXPECT_EQ(p.zero_point, 0);  // an all-positive range puts zero at q = 0
+  EXPECT_NEAR(p.scale, 4.0F / 255.0F, 1e-6F);
+  EXPECT_NEAR(p.dequantize(quantize_u8(0.0F, p)), 0.0F, p.scale / 2);
+  EXPECT_NEAR(p.dequantize(quantize_u8(4.0F, p)), 4.0F, p.scale / 2);
+  EXPECT_NEAR(p.dequantize(quantize_u8(2.3F, p)), 2.3F, p.scale / 2);
 }
 
 TEST(QuantParams, ConstantTensorDoesNotDivideByZero) {
-  std::vector<float> values = {0.0F, 0.0F};
-  EXPECT_NO_THROW(calibrate_symmetric(values));
-  EXPECT_NO_THROW(calibrate_affine(values));
+  const std::vector<float> zeros = {0.0F, 0.0F};
+  QuantParams p;
+  EXPECT_NO_THROW(p = observed_params(zeros));
+  // An all-zero range has no width at all: identity scale, zero at q = 0.
+  EXPECT_FLOAT_EQ(p.scale, 1.0F);
+  EXPECT_EQ(p.zero_point, 0);
+  EXPECT_EQ(quantize_u8(0.0F, p), 0);
 }
 
 TEST(QuantParams, DegenerateRangesClampToMinimumScale) {
   // Regression: a denormal-width range used to produce a denormal scale
-  // whose reciprocal overflowed the zero point; an empty span threw.
+  // whose reciprocal overflowed the zero point. Checked both where the
+  // lowering calls it (RangeObserver) and on the raw range helper.
   const std::vector<float> denormal = {1e-42F, 2e-42F};
-  const QuantParams sym = calibrate_symmetric(denormal);
-  EXPECT_GE(sym.scale, kMinScale);
-  EXPECT_TRUE(std::isfinite(sym.scale));
-  const QuantParams aff = calibrate_affine(denormal);
-  EXPECT_GE(aff.scale, kMinScale);
-  EXPECT_TRUE(std::isfinite(aff.scale));
-  EXPECT_GE(aff.zero_point, -128);
-  EXPECT_LE(aff.zero_point, 127);
+  expect_usable(observed_params(denormal));
+  expect_usable(affine_u8_from_range(1e-42F, 2e-42F));
+  expect_usable(affine_u8_from_range(-2e-42F, -1e-42F));
 
-  EXPECT_NO_THROW(calibrate_symmetric(std::span<const float>{}));
-  EXPECT_NO_THROW(calibrate_affine(std::span<const float>{}));
-  EXPECT_FLOAT_EQ(calibrate_symmetric(std::span<const float>{}).scale, 1.0F);
+  // Empty: an observer that saw only empty batches has no range to
+  // calibrate and says so, instead of inventing one; the empty range
+  // itself maps to the identity scale.
+  RangeObserver empty;
+  empty.observe(std::span<const float>{});
+  EXPECT_FALSE(empty.seen());
+  EXPECT_THROW(empty.affine_u8_params(), Error);
+  const QuantParams none = affine_u8_from_range(0.0F, 0.0F);
+  EXPECT_FLOAT_EQ(none.scale, 1.0F);
+  EXPECT_EQ(none.zero_point, 0);
 
-  // All-constant (non-zero) data stays usable and round-trips exactly.
+  // All-constant (non-zero) data stays usable and round-trips within half
+  // a step: the range widens to include zero.
   const std::vector<float> constant = {2.5F, 2.5F, 2.5F};
-  const QuantParams c = calibrate_affine(constant);
-  EXPECT_TRUE(std::isfinite(c.scale));
-  EXPECT_NEAR(c.dequantize(c.quantize(2.5F)), 2.5F, c.scale / 2 + 1e-6F);
+  const QuantParams c = observed_params(constant);
+  expect_usable(c);
+  EXPECT_NEAR(c.dequantize(quantize_u8(2.5F, c)), 2.5F, c.scale / 2 + 1e-6F);
+  const std::vector<float> negative = {-3.0F, -3.0F};
+  const QuantParams n = observed_params(negative);
+  expect_usable(n);
+  EXPECT_EQ(n.zero_point, 255);  // zero sits at the top of the range
+  EXPECT_NEAR(n.dequantize(quantize_u8(-3.0F, n)), -3.0F,
+              n.scale / 2 + 1e-6F);
+
+  EXPECT_THROW(affine_u8_from_range(1.0F, -1.0F), Error);  // lo > hi
 }
 
 TEST(QuantParams, AffineU8CoversRangeAndClampsDegenerates) {
@@ -79,62 +105,10 @@ TEST(QuantParams, AffineU8CoversRangeAndClampsDegenerates) {
 TEST(QuantRoundTrip, ErrorBoundedByHalfScale) {
   RandomEngine rng(601);
   Tensor t = Tensor::randn(Shape{1000}, rng);
-  const QuantParams p = calibrate_symmetric(t.span());
-  EXPECT_LE(max_roundtrip_error(t.span(), p), p.scale / 2 + 1e-6);
-  const auto q = quantize_tensor(t.span(), p);
-  const auto back = dequantize_tensor(q, p);
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    EXPECT_NEAR(back[i], t.data()[static_cast<index_t>(i)], p.scale / 2 + 1e-6);
+  const QuantParams p = observed_params(t.span());
+  for (const float v : t.span()) {
+    EXPECT_NEAR(p.dequantize(quantize_u8(v, p)), v, p.scale / 2 + 1e-6F);
   }
-}
-
-TEST(QuantizedConv, MatchesFloatConvWithinQuantError) {
-  RandomEngine rng(607);
-  Tensor x = Tensor::randn(Shape{1, 3, 16}, rng);
-  Tensor w = Tensor::randn(Shape{4, 3, 5}, rng);
-  Tensor b = Tensor::randn(Shape{4}, rng);
-  const QuantParams xq = calibrate_affine(x.span());
-  Tensor got = quantized_causal_conv1d(x, w, b, 2, 1, xq);
-  Tensor want = nn::causal_conv1d(x, w, b, 2, 1);
-  ASSERT_EQ(got.shape(), want.shape());
-  // Error budget: per-MAC quantization noise accumulates; stay within a
-  // conservative bound relative to the activation scale.
-  const double budget = 20.0 * xq.scale;
-  for (index_t i = 0; i < got.numel(); ++i) {
-    EXPECT_NEAR(got.data()[i], want.data()[i], budget) << "elem " << i;
-  }
-}
-
-TEST(QuantizedConv, StridedAndDilatedGeometry) {
-  RandomEngine rng(613);
-  Tensor x = Tensor::randn(Shape{2, 2, 12}, rng);
-  Tensor w = Tensor::randn(Shape{2, 2, 3}, rng);
-  const QuantParams xq = calibrate_affine(x.span());
-  Tensor y = quantized_causal_conv1d(x, w, Tensor(), 4, 2, xq);
-  EXPECT_EQ(y.shape(), Shape({2, 2, 6}));
-}
-
-TEST(FakeQuantize, KeepsModelUsableAndBoundsError) {
-  RandomEngine rng(617);
-  models::TempoNetConfig cfg;
-  cfg.input_length = 64;
-  cfg.channel_scale = 0.25;
-  models::TempoNet model(cfg, models::hand_tuned_conv_factory(rng), rng);
-  model.eval();
-  Tensor x = Tensor::randn(Shape{2, 4, 64}, rng);
-  Tensor before = model.forward(x);
-  const double worst = fake_quantize_parameters(model);
-  Tensor after = model.forward(x);
-  EXPECT_GT(worst, 0.0);
-  EXPECT_LT(worst, 0.1);  // int8 round trip is fine-grained
-  // Outputs move, but stay close: quantization must not destroy the model.
-  double max_delta = 0.0;
-  for (index_t i = 0; i < before.numel(); ++i) {
-    max_delta = std::max(max_delta, static_cast<double>(std::abs(
-                                        before.data()[i] - after.data()[i])));
-  }
-  EXPECT_LT(max_delta, 30.0);  // BPM-scale outputs shift by well under 30
-  EXPECT_GT(max_delta, 0.0);
 }
 
 TEST(Int8ModelBytes, AccountsForBiasWidth) {

@@ -16,6 +16,7 @@
 #include "models/temponet.hpp"
 #include "quant/observer.hpp"
 #include "serve/inference_server.hpp"
+#include "server_requests.hpp"
 #include "tensor/error.hpp"
 
 namespace pit::runtime {
@@ -284,7 +285,7 @@ TEST(QuantizedPlan, InferenceServerServesQuantizedPlanUnchanged) {
     Tensor sample = Tensor::empty(Shape{4, 64});
     std::copy(all.data() + i * sample.numel(),
               all.data() + (i + 1) * sample.numel(), sample.data());
-    futures.push_back(server.submit(sample));
+    futures.push_back(test::submit_future(server, sample));
   }
   for (index_t i = 0; i < all.dim(0); ++i) {
     const Tensor got = futures[static_cast<std::size_t>(i)].get();
@@ -511,58 +512,6 @@ TEST(RangeObserver, MinMaxTracksAcrossBatches) {
   EXPECT_GE(p.zero_point, 0);
   EXPECT_LE(p.zero_point, 255);
   EXPECT_NEAR(p.scale, 4.0F / 255.0F, 1e-6);
-}
-
-TEST(RangeObserver, PercentileTrimsOutliers) {
-  quant::ObserverConfig cfg;
-  cfg.kind = quant::ObserverKind::kPercentile;
-  cfg.percentile = 0.99;
-  quant::RangeObserver minmax;
-  quant::RangeObserver pct(cfg);
-  RandomEngine rng(761);
-  Tensor bulk = Tensor::uniform(Shape{4096}, -1.0F, 1.0F, rng);
-  minmax.observe(bulk.span());
-  pct.observe(bulk.span());
-  const std::vector<float> outlier = {1000.0F};
-  minmax.observe(outlier);
-  pct.observe(outlier);
-  // The single outlier stretches the min/max range ~500x; the percentile
-  // range must stay near the bulk distribution.
-  EXPECT_GT(minmax.affine_u8_params().scale, 1.0F);
-  EXPECT_LT(pct.affine_u8_params().scale, 0.1F);
-}
-
-TEST(RangeObserver, PercentileModeIsDeterministic) {
-  quant::ObserverConfig cfg;
-  cfg.kind = quant::ObserverKind::kPercentile;
-  RandomEngine rng(769);
-  Tensor data = Tensor::randn(Shape{2048}, rng);
-  quant::RangeObserver a(cfg);
-  quant::RangeObserver b(cfg);
-  a.observe(data.span());
-  b.observe(data.span());
-  EXPECT_EQ(a.affine_u8_params().scale, b.affine_u8_params().scale);
-  EXPECT_EQ(a.affine_u8_params().zero_point,
-            b.affine_u8_params().zero_point);
-}
-
-TEST(QuantizedPlan, PercentileCalibrationStillMeetsTheBound) {
-  RandomEngine rng(773);
-  const auto cfg = small_temponet_config();
-  models::TempoNet model(
-      cfg, models::dilated_conv_factory(rng, {2, 2, 1, 4, 4, 8, 8}), rng);
-  model.train();
-  model.forward(Tensor::randn(Shape{8, 4, 64}, rng));
-  model.eval();
-  const auto plan = compile_plan(model);
-  data::TensorDataset dataset = random_dataset(16, 4, 64, rng);
-  data::DataLoader loader(dataset, 8, /*shuffle=*/false);
-  QuantizeOptions options;
-  options.observer.kind = quant::ObserverKind::kPercentile;
-  options.observer.percentile = 0.999;
-  const auto qplan = quantize_plan(*plan, loader, options);
-  // The bound now carries the clipping terms, so it still holds.
-  expect_parity(*plan, *qplan, stack_all(loader));
 }
 
 }  // namespace
