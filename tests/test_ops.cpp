@@ -172,6 +172,10 @@ struct UnaryCase {
   float hi;
 };
 
+// Without this gtest prints the raw bytes of the case, pointers included, so
+// the discovered ctest names would change from one build to the next.
+void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.name; }
+
 class UnaryGradcheck : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(UnaryGradcheck, MatchesFiniteDifferences) {
