@@ -210,11 +210,21 @@ void run_backend_compare(const char* json_path) {
       {"n16_c64_k5_t128_d2_s1", {16, 64, 64, 5, 128, 128, 2, 1}},
       {"n32_c32_k17_t64_d1_s1", {32, 32, 32, 17, 64, 64, 1, 1}},
       {"n16_c32_k9_t256_d1_s2", {16, 32, 32, 9, 256, 128, 1, 2}},
+      // The seven seed convs of the scaled TEMPONet that perfbench's
+      // pit_search trains (channel_scale 0.25, 64-step windows, batch 32):
+      // every step of the search runs exactly these three kernels on them.
+      // Convs 3 and 4 share one shape, so six rows cover all seven.
+      {"search_n32_ci4_co8_k5_t64", {32, 4, 8, 5, 64, 64, 1, 1}},
+      {"search_n32_ci8_co8_k5_t64", {32, 8, 8, 5, 64, 64, 1, 1}},
+      {"search_n32_ci8_co16_k5_t64", {32, 8, 16, 5, 64, 64, 1, 1}},
+      {"search_n32_ci16_co16_k9_t32", {32, 16, 16, 9, 32, 32, 1, 1}},
+      {"search_n32_ci16_co32_k17_t16", {32, 16, 32, 17, 16, 16, 1, 1}},
+      {"search_n32_ci32_co32_k17_t16", {32, 32, 32, 17, 16, 16, 1, 1}},
   };
   std::vector<CompareRow> rows;
   std::printf("\nscalar vs blocked backend (best-of-5 ms/call)\n");
-  std::printf("%-28s %-16s %10s %11s %8s\n", "shape", "kernel", "scalar",
-              "blocked", "speedup");
+  std::printf("%-30s %-16s %10s %11s %8s %14s\n", "shape", "kernel",
+              "scalar", "blocked", "speedup", "blocked GMAC/s");
   for (const auto& s : shapes) {
     const kern::ConvDims& d = s.d;
     Tensor x = Tensor::randn(Shape{d.n, d.c_in, d.t_in}, rng);
@@ -249,8 +259,9 @@ void run_backend_compare(const char* json_path) {
           time_ms([&] { k.call(kern::Backend::kBlocked); });
       rows.push_back({k.name, s.name, kern::conv_macs(d), scalar_ms,
                       blocked_ms});
-      std::printf("%-28s %-16s %9.3fms %9.3fms %7.2fx\n", s.name, k.name,
-                  scalar_ms, blocked_ms, scalar_ms / blocked_ms);
+      std::printf("%-30s %-16s %9.3fms %9.3fms %7.2fx %14.2f\n", s.name,
+                  k.name, scalar_ms, blocked_ms, scalar_ms / blocked_ms,
+                  static_cast<double>(kern::conv_macs(d)) / blocked_ms / 1e6);
     }
   }
 

@@ -33,7 +33,7 @@ Tensor k_matrix(index_t levels, index_t rf_max);
 Tensor build_mask(const Tensor& gamma_bin, index_t rf_max);
 
 /// Non-differentiable reference of the same construction straight from
-/// Eq. 3 (used by property tests and frozen layers).
+/// Eq. 3 (used by property tests and the mask walkthrough example).
 std::vector<float> reference_mask(const std::vector<int>& gamma_bits,
                                   index_t rf_max);
 

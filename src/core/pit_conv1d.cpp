@@ -117,6 +117,54 @@ Tensor masked_causal_conv1d(const Tensor& x, const Tensor& weight,
       });
 }
 
+namespace {
+
+/// w[:, :, j * dilation] for j < taps as a compact (Cout, Cin, taps)
+/// weight; the backward pass scatters into the alive taps only.
+Tensor gather_dilated_taps(const Tensor& weight, index_t dilation,
+                           index_t taps) {
+  const index_t pairs = weight.dim(0) * weight.dim(1);
+  const index_t rf = weight.dim(2);
+  Tensor out = Tensor::zeros(Shape{weight.dim(0), weight.dim(1), taps});
+  const float* wd = weight.data();
+  float* od = out.data();
+  for (index_t p = 0; p < pairs; ++p) {
+    for (index_t j = 0; j < taps; ++j) {
+      od[p * taps + j] = wd[p * rf + j * dilation];
+    }
+  }
+  const Tensor tw = weight;
+  return make_op_output(
+      std::move(out), {weight}, "gather_dilated_taps",
+      [tw, dilation, taps, pairs, rf](TensorImpl& o) {
+        if (!tw.impl()->requires_grad && tw.impl()->grad_fn == nullptr) {
+          return;
+        }
+        auto wg = grad_span(*tw.impl());
+        const float* g = o.grad.data();
+        for (index_t p = 0; p < pairs; ++p) {
+          for (index_t j = 0; j < taps; ++j) {
+            wg[static_cast<std::size_t>(p * rf + j * dilation)] +=
+                g[p * taps + j];
+          }
+        }
+      });
+}
+
+}  // namespace
+
+Tensor dilated_causal_conv1d(const Tensor& x, const Tensor& weight,
+                             const Tensor& bias, index_t dilation,
+                             index_t taps, index_t stride) {
+  PIT_CHECK(weight.rank() == 3 && taps >= 1 && dilation >= 1 &&
+                (taps - 1) * dilation < weight.dim(2),
+            "dilated_causal_conv1d: " << taps << " taps at dilation "
+                                      << dilation << " do not fit weight "
+                                      << weight.shape().to_string());
+  return nn::causal_conv1d(x, gather_dilated_taps(weight, dilation, taps),
+                           bias, dilation, stride);
+}
+
 PITConv1d::PITConv1d(index_t in_channels, index_t out_channels, index_t rf_max,
                      const PitConv1dOptions& options, RandomEngine& rng)
     : in_channels_(in_channels),
@@ -150,14 +198,8 @@ PITConv1d::PITConv1d(index_t in_channels, index_t out_channels, index_t rf_max,
 
 Tensor PITConv1d::forward(const Tensor& input) {
   if (gamma_.frozen()) {
-    if (!frozen_mask_.defined()) {
-      frozen_mask_ = Tensor::from_vector(
-          reference_mask(gamma_.binary_snapshot(options_.binarize_threshold),
-                         rf_max_),
-          Shape{rf_max_});
-    }
-    return masked_causal_conv1d(input, weight_, bias_, frozen_mask_,
-                                options_.stride);
+    return dilated_causal_conv1d(input, weight_, bias_, current_dilation(),
+                                 current_alive_taps(), options_.stride);
   }
   Tensor mask;
   if (gamma_.num_trainable() > 0) {
@@ -186,10 +228,7 @@ index_t PITConv1d::effective_params() const {
   return params;
 }
 
-void PITConv1d::freeze_gamma() {
-  gamma_.freeze();
-  frozen_mask_ = Tensor();  // rebuilt lazily from the frozen snapshot
-}
+void PITConv1d::freeze_gamma() { gamma_.freeze(); }
 
 models::ConvFactory pit_conv_factory(RandomEngine& rng,
                                      std::vector<PITConv1d*>& out_layers,

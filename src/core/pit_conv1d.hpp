@@ -24,6 +24,16 @@ Tensor masked_causal_conv1d(const Tensor& x, const Tensor& weight,
                             const Tensor& bias, const Tensor& mask,
                             index_t stride);
 
+/// conv(x, W ⊙ M) for the constant mask M of a frozen layer (alive taps
+/// 0, d, ..., (taps - 1) * d), run as the dilated conv M encodes: W's
+/// alive taps are gathered into a compact (Cout, Cin, taps) weight, so
+/// forward and both backward passes do rf_max / taps times fewer MACs
+/// than masked_causal_conv1d. dW is scattered back into W's rf_max
+/// layout: pruned taps get exactly zero.
+Tensor dilated_causal_conv1d(const Tensor& x, const Tensor& weight,
+                             const Tensor& bias, index_t dilation,
+                             index_t taps, index_t stride);
+
 struct PitConv1dOptions {
   index_t stride = 1;
   bool bias = true;
@@ -60,7 +70,8 @@ class PITConv1d : public nn::Module {
   index_t effective_params() const;
 
   /// Binarizes and freezes the gammas (end of the pruning phase); the mask
-  /// becomes a constant and forward passes stop building the gamma graph.
+  /// becomes a constant, forward passes stop building the gamma graph and
+  /// run the layer as its dilated conv (dilated_causal_conv1d).
   void freeze_gamma();
 
  private:
@@ -71,7 +82,6 @@ class PITConv1d : public nn::Module {
   Tensor weight_;  // (Cout, Cin, rf_max)
   Tensor bias_;
   GammaParameters gamma_;
-  Tensor frozen_mask_;  // constant mask after freeze_gamma()
 };
 
 /// ConvFactory adapter: builds PITConv1d seeds (kernel = receptive field,

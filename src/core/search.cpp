@@ -8,6 +8,10 @@
 #include <mutex>
 #include <thread>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "tensor/error.hpp"
 
 namespace pit::core {
@@ -136,10 +140,18 @@ SearchResult DilationSearch::run(data::DataLoader& train,
   if (workers <= 1) {
     worker();
   } else {
+    // Grid threads already fill the cores: one OpenMP thread each, so
+    // workers x intra-op teams cannot oversubscribe the host. The kernels
+    // give identical results at any thread count.
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back(worker);
+      pool.emplace_back([&worker] {
+#ifdef _OPENMP
+        omp_set_num_threads(1);
+#endif
+        worker();
+      });
     }
     for (std::thread& t : pool) {
       t.join();

@@ -45,6 +45,8 @@ struct SearchConfig {
   /// Worker threads for the (lambda x warmup) grid. Every grid point is an
   /// independent model (fresh factory() build, private DataLoader copies),
   /// so points run concurrently; 0 picks min(grid size, hardware threads).
+  /// With more than one worker, each runs its conv kernels on a single
+  /// OpenMP thread (the grid already occupies the cores).
   /// Results are identical for every worker count: models are built in
   /// grid order before dispatch and each point's loaders start from the
   /// loader state at run() entry.

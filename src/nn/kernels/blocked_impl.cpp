@@ -8,23 +8,28 @@
 // bodies are compiled for the same ISA as their enclosing kernel, which
 // GCC does not promise for attribute-based multi-versioning.
 //
-// The tiling story is the same for all three kernels: hold a small
-// kCoTile x kTTile accumulator block in registers / L1 across the full
-// reduction, so each loaded input value is reused kCoTile times and the
-// output block is touched exactly once — the scalar reference instead
-// re-reads and re-writes each output row c_in * k times. Interior tiles
-// take a constant-trip-count inner loop (compile-time extent, fully
-// vectorisable); tile edges and the implicit left zero-padding fall back
-// to a variable-bound loop. Stride 1 — the TCN hot path, every PIT
-// search step — is the fast path throughout; stride > 1 keeps the same
-// structure with strided gathers, except backward-input where scatter
-// aliasing makes tiling pointless and the scalar loop shape runs under a
-// parallel channel-ownership grid.
+// Every kernel here holds its accumulators in named vector registers
+// across the whole reduction and touches its output exactly once:
+//   - forward / backward-input: a kCoTile x (1 or 2 vectors) output tile,
+//     reduced over c x k, so each loaded input vector feeds kCoTile FMAs;
+//   - backward-weight: a kCoTile x kTapTile block of per-(co, ci, tap)
+//     partial sums kept in vector lanes across the whole (n, t)
+//     reduction, reduced horizontally once per output element.
+// Reads that would leave a row (the implicit causal zero padding, ragged
+// tails, strided taps) come from a small staged copy instead of per-lane
+// bounds checks: a window of one row for forward / backward-input, one
+// input channel across the batch for backward-weight — never a whole
+// layer. Strided taps are staged as stride-phase rows (x[u*s + r] for
+// each residue r), which turns every tap into a contiguous vector read.
+// Stride-1 backward-input gathers; strided backward-input keeps the
+// scalar scatter loop shape under a channel-ownership grid, where scatter
+// aliasing makes tiling pointless.
 //
 // Thread safety without atomics: each cell of the OpenMP grid owns a
 // disjoint slice of the output, so results are bitwise identical at any
 // thread count.
 #include <algorithm>
+#include <vector>
 
 #include "nn/kernels/registry.hpp"
 
@@ -36,15 +41,9 @@ namespace pit::nn::kernels::blocked {
 namespace PIT_BLOCKED_ISA_NS {
 namespace {
 
-constexpr index_t kCoTile = 4;   // output rows held in registers
-constexpr index_t kTTile = 64;   // time steps per accumulator block
-constexpr index_t kLanes = 8;    // explicit reduction lanes (one SIMD word)
+constexpr index_t kCoTile = 4;  // output rows held in registers
 
-inline bool all_zero4(const float (&v)[kCoTile]) {
-  return v[0] == 0.0F && v[1] == 0.0F && v[2] == 0.0F && v[3] == 0.0F;
-}
-
-// ---- Inference kernel vocabulary ----------------------------------------
+// ---- Vector vocabulary ---------------------------------------------------
 //
 // Passing 64-byte vectors by value trips -Wpsabi on targets narrower than
 // AVX-512 (the call ABI for such values differs per ISA level). Every
@@ -53,20 +52,25 @@ inline bool all_zero4(const float (&v)[kCoTile]) {
 // psABI notes at late codegen, so a push/pop region cannot scope it.
 #pragma GCC diagnostic ignored "-Wpsabi"
 
-// The packed forward / linear kernels below are written with GCC vector
-// extensions: a 16-float vector the compiler lowers to one zmm (v4), two
-// ymm (v3) or four xmm (base) per operation. Unlike the training kernels'
-// stack accumulator blocks, the 4 x 32 output tile lives in 8 named
-// vector variables, so the whole c_in x k reduction runs register-resident
-// — the training kernels re-load and re-store their accumulator block
-// from L1 on every tap, which is exactly the traffic inference can't
-// afford on one core.
+// All kernels are written with GCC vector extensions: a 16-float vector
+// the compiler lowers to one zmm (v4), two ymm (v3) or four xmm (base) per
+// operation. Accumulator tiles are arrays of these with compile-time
+// extents, fully unrolled, so they live in registers.
 using vf = float __attribute__((vector_size(64)));
 
 constexpr index_t kVf = 16;               // floats per vf
 constexpr index_t kInferTTile = 2 * kVf;  // time steps per register tile
 static_assert(kInferTTile == kPackTimeTile,
               "runtime padding contract must match the register tile");
+
+// Taps per backward-weight register block: kCoTile x kTapTile vector
+// accumulators plus kCoTile dy vectors must fit the register file (32
+// zmm with AVX-512; 16 ymm otherwise, where a vf takes two).
+#ifdef __AVX512F__
+constexpr int kTapTile = 4;
+#else
+constexpr int kTapTile = 2;
+#endif
 
 inline vf load16(const float* p) {
   vf v;
@@ -78,7 +82,25 @@ inline void store16(float* p, const vf& v) {
   __builtin_memcpy(p, &v, sizeof(v));
 }
 
-inline vf splat(float s) { return vf{} + s; }
+inline vf splat(float s) {
+  const vf v = {s, s, s, s, s, s, s, s, s, s, s, s, s, s, s, s};
+  return v;
+}
+
+inline index_t round_up(index_t v, index_t m) { return (v + m - 1) / m * m; }
+
+/// Sum of the 16 lanes, as a halving tree.
+inline float hsum(vf v) {
+  v += __builtin_shufflevector(v, v, 8, 9, 10, 11, 12, 13, 14, 15, 8, 9, 10,
+                               11, 12, 13, 14, 15);
+  v += __builtin_shufflevector(v, v, 4, 5, 6, 7, 4, 5, 6, 7, 4, 5, 6, 7, 4,
+                               5, 6, 7);
+  v += __builtin_shufflevector(v, v, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2,
+                               3, 2, 3);
+  v += __builtin_shufflevector(v, v, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                               1, 1, 1);
+  return v[0];
+}
 
 /// Writes the first `nt` elements of the 32-wide register tile row;
 /// lanes past nt (tail garbage from slack over-reads) are dropped.
@@ -103,75 +125,267 @@ inline void store_tile_row(float* yrow, const vf& lo, const vf& hi,
   }
 }
 
+/// row[t] += the tile row's result for t < nt: acc[0..1] are its two
+/// time vectors (TV == 2) or two partial sums of one (TV == 1).
+template <int TV>
+inline void add_tile(float* row, const vf (&acc)[2], index_t nt) {
+  float tmp[TV * kVf];
+  if constexpr (TV == 2) {
+    if (nt == 2 * kVf) {
+      store16(row, load16(row) + acc[0]);
+      store16(row + kVf, load16(row + kVf) + acc[1]);
+      return;
+    }
+    store16(tmp, acc[0]);
+    store16(tmp + kVf, acc[1]);
+  } else {
+    store16(tmp, acc[0] + acc[1]);
+  }
+  for (index_t t = 0; t < nt; ++t) {
+    row[t] += tmp[t];
+  }
+}
+
+/// Stages the stride-phase row out[j] = row[(u0 + j) * s + r] for
+/// j < len, zero wherever that index leaves [0, limit). With s == 1 this
+/// is a zero-padded copy of row[u0, u0 + len).
+inline void stage_phase(const float* row, index_t u0, index_t len, index_t s,
+                        index_t r, index_t limit, float* out) {
+  const index_t u_end = limit > r ? (limit - r + s - 1) / s : 0;
+  const index_t lo = std::clamp<index_t>(-u0, 0, len);
+  const index_t hi = std::clamp<index_t>(u_end - u0, lo, len);
+  std::fill(out, out + lo, 0.0F);
+  if (s == 1) {
+    std::copy(row + (u0 + lo), row + (u0 + hi), out + lo);
+  } else {
+    for (index_t j = lo; j < hi; ++j) {
+      out[j] = row[(u0 + j) * s + r];
+    }
+  }
+  std::fill(out + hi, out + len, 0.0F);
+}
+
+/// A tap reads x[t*s - back] = phase_r[t - q] with q = ceil(back / s),
+/// r = q*s - back: its offset into stride-phase rows of `phase_len`
+/// floats whose index 0 is u = -q_max.
+inline index_t tap_offset(index_t back, index_t s, index_t q_max,
+                          index_t phase_len) {
+  const index_t q = (back + s - 1) / s;
+  return (q * s - back) * phase_len + q_max - q;
+}
+
+/// Per-thread staging buffer `slot` of at least `floats` floats, kept
+/// across calls so the training kernels do no allocator work per call.
+/// Every kernel writes all of the staging it later reads.
+float* scratch(int slot, index_t floats) {
+  thread_local std::vector<float> buffers[2];
+  std::vector<float>& b = buffers[slot];
+  if (b.size() < static_cast<std::size_t>(floats)) {
+    b.resize(static_cast<std::size_t>(floats));
+  }
+  return b.data();
+}
+
+/// The taps a call must visit: those with a non-zero weight for some
+/// channel pair. PIT masks zero a pruned tap across every pair, so the
+/// search's pruned taps drop out of forward and backward-input here.
+std::vector<index_t> live_taps(const float* w, const ConvDims& d) {
+  std::vector<index_t> taps;
+  for (index_t i = 0; i < d.k; ++i) {
+    for (index_t p = 0; p < d.c_out * d.c_in; ++p) {
+      if (w[p * d.k + i] != 0.0F) {
+        taps.push_back(i);
+        break;
+      }
+    }
+  }
+  return taps;
+}
+
+/// A row reduction over the live taps: tap j is weight index idx[j],
+/// read at input offset off[j].
+struct TapList {
+  const index_t* idx;
+  const index_t* off;
+  index_t count;
+};
+
+/// acc[c][v] += w[c] * xp[v * kVf ..] over a TV-vector row tile, w[c] =
+/// wr[c][i]. A single-vector tile (TV == 1) accumulates into set `Set`
+/// instead, so a caller alternating taps between the two sets keeps as
+/// many independent FMA chains in flight as a two-vector tile does.
+template <int TV, int Set>
+inline void fma_tap(vf (&acc)[kCoTile][2], const float* const (&wr)[kCoTile],
+                    index_t i, const float* xp) {
+  for (int v = 0; v < TV; ++v) {
+    const vf xv = load16(xp + v * kVf);
+    for (index_t c = 0; c < kCoTile; ++c) {
+      acc[c][TV == 1 ? Set : v] += splat(wr[c][i]) * xv;
+    }
+  }
+}
+
+/// Reduces one input row over `taps` into the tile; weight rows past the
+/// block's `n` alias its last row (their sums are never stored).
+template <int TV>
+inline void reduce_row(vf (&acc)[kCoTile][2], const float* wc,
+                       index_t row_stride, index_t n, const TapList& taps,
+                       const float* xp) {
+  const float* wr[kCoTile];
+  for (index_t c = 0; c < kCoTile; ++c) {
+    wr[c] = wc + std::min(c, n - 1) * row_stride;
+  }
+  index_t j = 0;
+  for (; j + 1 < taps.count; j += 2) {
+    fma_tap<TV, 0>(acc, wr, taps.idx[j], xp + taps.off[j]);
+    fma_tap<TV, 1>(acc, wr, taps.idx[j + 1], xp + taps.off[j + 1]);
+  }
+  if (j < taps.count) {
+    fma_tap<TV, 0>(acc, wr, taps.idx[j], xp + taps.off[j]);
+  }
+}
+
+/// Forward tile: y[n, co0 + c, t0 + t] for c < kCoTile, t < TV * kVf,
+/// reduced over (ci, live tap) from the staged sample `xs`: channel ci is
+/// d.stride phase rows of `row` floats, and tap j reads
+/// xs[ci * d.stride * row + taps.off[j] + t].
+template <int TV>
+void forward_tile(const float* xs, const float* w, const float* bias,
+                  float* yn, const ConvDims& d, const TapList& taps,
+                  index_t row, index_t co0, index_t nco, index_t t0,
+                  index_t nt) {
+  vf acc[kCoTile][2];
+  for (index_t c = 0; c < kCoTile; ++c) {
+    const float b = (bias != nullptr && c < nco) ? bias[co0 + c] : 0.0F;
+    acc[c][0] = splat(b);
+    acc[c][1] = splat(TV == 2 ? b : 0.0F);
+  }
+  for (index_t ci = 0; ci < d.c_in; ++ci) {
+    reduce_row<TV>(acc, w + (co0 * d.c_in + ci) * d.k, d.c_in * d.k, nco,
+                   taps, xs + ci * d.stride * row + t0);
+  }
+  for (index_t c = 0; c < nco; ++c) {
+    add_tile<TV>(yn + (co0 + c) * d.t_out + t0, acc[c], nt);
+  }
+}
+
+/// Stride-1 backward-input tile: dx[n, ci0 + c, s0 + t] gathers
+/// w[co, ci, i] * dy[n, co, s0 + t + i*dil] over (co, live tap) from the
+/// staged sample `dys` (one zero-padded row of `row` floats per co).
+template <int TV>
+void backward_input_tile(const float* dys, const float* w, float* dxn,
+                         const ConvDims& d, const TapList& taps, index_t row,
+                         index_t ci0, index_t nci, index_t s0, index_t ns) {
+  vf acc[kCoTile][2] = {};
+  for (index_t co = 0; co < d.c_out; ++co) {
+    reduce_row<TV>(acc, w + (co * d.c_in + ci0) * d.k, d.k, nci, taps,
+                   dys + co * row + s0);
+  }
+  for (index_t c = 0; c < nci; ++c) {
+    add_tile<TV>(dxn + (ci0 + c) * d.t_in + s0, acc[c], ns);
+  }
+}
+
+/// acc[c][j] += dv[c] * x[off[j] ..] for one 16-step chunk.
+template <int NT>
+inline void fma_chunk(vf (&acc)[kCoTile][NT], const vf (&dv)[kCoTile],
+                      const float* xp, const index_t (&off)[NT]) {
+  for (int j = 0; j < NT; ++j) {
+    const vf xv = load16(xp + off[j]);
+    for (index_t c = 0; c < kCoTile; ++c) {
+      acc[c][j] += dv[c] * xv;
+    }
+  }
+}
+
+/// Backward-weight block: dw[co0 + c, ci, i0 + j] for c < kCoTile,
+/// j < NT, reduced over every (n, t) in vector lanes and summed
+/// horizontally once. `xs` holds input channel ci of every sample as
+/// stride-phase rows (d.stride rows of `phase_len` floats per sample,
+/// index 0 at u = -q_max, zero outside the data). When t_out is not a
+/// multiple of kVf, `tails` holds each (n, c) dy row's last partial chunk
+/// zero-padded to kVf floats; zero dy lanes make the x lanes there inert.
+template <int NT>
+void backward_weight_block(const float* dy, const float* xs,
+                           const float* tails, float* dw, const ConvDims& d,
+                           index_t co0, index_t nco, index_t ci, index_t i0,
+                           index_t q_max, index_t phase_len) {
+  index_t off[NT];
+  for (int j = 0; j < NT; ++j) {
+    off[j] = tap_offset((i0 + j) * d.dilation, d.stride, q_max, phase_len);
+  }
+  const index_t t_full = d.t_out / kVf * kVf;
+  vf acc[kCoTile][NT] = {};
+  for (index_t n = 0; n < d.n; ++n) {
+    const float* xsn = xs + n * d.stride * phase_len;
+    const float* dyr[kCoTile];
+    for (index_t c = 0; c < kCoTile; ++c) {
+      // Rows past c_out alias a valid one; their sums are discarded.
+      dyr[c] = dy + (n * d.c_out + co0 + std::min(c, nco - 1)) * d.t_out;
+    }
+    vf dv[kCoTile];
+    for (index_t t = 0; t < t_full; t += kVf) {
+      for (index_t c = 0; c < kCoTile; ++c) {
+        dv[c] = load16(dyr[c] + t);
+      }
+      fma_chunk<NT>(acc, dv, xsn + t, off);
+    }
+    if (t_full < d.t_out) {
+      for (index_t c = 0; c < kCoTile; ++c) {
+        dv[c] = load16(tails + (n * kCoTile + c) * kVf);
+      }
+      fma_chunk<NT>(acc, dv, xsn + t_full, off);
+    }
+  }
+  for (index_t c = 0; c < nco; ++c) {
+    float* dwp = dw + ((co0 + c) * d.c_in + ci) * d.k + i0;
+    for (int j = 0; j < NT; ++j) {
+      dwp[j] += hsum(acc[c][j]);
+    }
+  }
+}
+
 }  // namespace
 
 void conv_forward(const float* x, const float* w, const float* bias, float* y,
                   const ConvDims& d) {
   const index_t co_blocks = (d.c_out + kCoTile - 1) / kCoTile;
-#pragma omp parallel for collapse(2) schedule(static)
-  for (index_t n = 0; n < d.n; ++n) {
-    for (index_t cb = 0; cb < co_blocks; ++cb) {
-      const index_t co0 = cb * kCoTile;
-      const index_t nco = std::min(kCoTile, d.c_out - co0);
-      const float* xn = x + n * d.c_in * d.t_in;
-      float* yn = y + n * d.c_out * d.t_out;
-      for (index_t t0 = 0; t0 < d.t_out; t0 += kTTile) {
-        const index_t nt = std::min(kTTile, d.t_out - t0);
-        float acc[kCoTile][kTTile];
-        for (index_t c = 0; c < kCoTile; ++c) {
-          const float b = (bias != nullptr && c < nco) ? bias[co0 + c] : 0.0F;
-          for (index_t tt = 0; tt < kTTile; ++tt) {
-            acc[c][tt] = b;
-          }
-        }
-        for (index_t ci = 0; ci < d.c_in; ++ci) {
-          const float* xrow = xn + ci * d.t_in;
-          for (index_t i = 0; i < d.k; ++i) {
-            float wv[kCoTile];
-            for (index_t c = 0; c < kCoTile; ++c) {
-              wv[c] = (c < nco) ? w[((co0 + c) * d.c_in + ci) * d.k + i]
-                                : 0.0F;
-            }
-            if (all_zero4(wv)) {
-              continue;  // pruned tap (PIT masks zero whole taps)
-            }
-            const index_t back = i * d.dilation;
-            if (d.stride == 1) {
-              const float* xs = xrow - back;
-              if (back <= t0 && nt == kTTile) {
-                // Interior tile: constant trip count, fully vectorised.
-                const float* xb = xs + t0;
-                for (index_t tt = 0; tt < kTTile; ++tt) {
-                  const float xv = xb[tt];
-                  for (index_t c = 0; c < kCoTile; ++c) {
-                    acc[c][tt] += wv[c] * xv;
-                  }
-                }
-              } else {
-                for (index_t t = std::max(t0, back); t < t0 + nt; ++t) {
-                  const float xv = xs[t];
-                  const index_t tt = t - t0;
-                  for (index_t c = 0; c < kCoTile; ++c) {
-                    acc[c][tt] += wv[c] * xv;
-                  }
-                }
-              }
-            } else {
-              const index_t tfirst = (back + d.stride - 1) / d.stride;
-              for (index_t t = std::max(t0, tfirst); t < t0 + nt; ++t) {
-                const float xv = xrow[t * d.stride - back];
-                const index_t tt = t - t0;
-                for (index_t c = 0; c < kCoTile; ++c) {
-                  acc[c][tt] += wv[c] * xv;
-                }
-              }
+  const index_t s = d.stride;
+  const index_t q_max = ((d.k - 1) * d.dilation + s - 1) / s;
+  const index_t row = q_max + round_up(d.t_out, kInferTTile);
+  const std::vector<index_t> idx = live_taps(w, d);
+  std::vector<index_t> off;
+  for (const index_t i : idx) {
+    off.push_back(tap_offset(i * d.dilation, s, q_max, row));
+  }
+  const TapList taps{idx.data(), off.data(), static_cast<index_t>(idx.size())};
+#pragma omp parallel
+  {
+    // One staged sample per thread; a thread's cells are consecutive in
+    // (n, cb), so each sample is staged about once per thread.
+    float* xs = scratch(0, d.c_in * s * row);
+    index_t staged = -1;
+#pragma omp for collapse(2) schedule(static)
+    for (index_t n = 0; n < d.n; ++n) {
+      for (index_t cb = 0; cb < co_blocks; ++cb) {
+        if (n != staged) {
+          for (index_t ci = 0; ci < d.c_in; ++ci) {
+            for (index_t r = 0; r < s; ++r) {
+              stage_phase(x + (n * d.c_in + ci) * d.t_in, -q_max, row, s, r,
+                          d.t_in, xs + (ci * s + r) * row);
             }
           }
+          staged = n;
         }
-        for (index_t c = 0; c < nco; ++c) {
-          float* yrow = yn + (co0 + c) * d.t_out;
-          for (index_t tt = 0; tt < nt; ++tt) {
-            yrow[t0 + tt] += acc[c][tt];
+        const index_t co0 = cb * kCoTile;
+        const index_t nco = std::min(kCoTile, d.c_out - co0);
+        float* yn = y + n * d.c_out * d.t_out;
+        for (index_t t0 = 0; t0 < d.t_out; t0 += kInferTTile) {
+          const index_t nt = std::min(kInferTTile, d.t_out - t0);
+          if (nt > kVf) {
+            forward_tile<2>(xs, w, bias, yn, d, taps, row, co0, nco, t0, nt);
+          } else {
+            forward_tile<1>(xs, w, bias, yn, d, taps, row, co0, nco, t0, nt);
           }
         }
       }
@@ -182,61 +396,45 @@ void conv_forward(const float* x, const float* w, const float* bias, float* y,
 void conv_backward_input(const float* dy, const float* w, float* dx,
                          const ConvDims& d) {
   const index_t ci_blocks = (d.c_in + kCoTile - 1) / kCoTile;
-#pragma omp parallel for collapse(2) schedule(static)
-  for (index_t n = 0; n < d.n; ++n) {
-    for (index_t cb = 0; cb < ci_blocks; ++cb) {
-      const index_t ci0 = cb * kCoTile;
-      const index_t nci = std::min(kCoTile, d.c_in - ci0);
-      const float* dyn = dy + n * d.c_out * d.t_out;
-      float* dxn = dx + n * d.c_in * d.t_in;
-      if (d.stride == 1) {
-        // Gather form: dx[ci,s] += sum_{co,i} w[co,ci,i] * dy[co,s+i*dil],
-        // valid while s + i*dil < t_out. Accumulator block stays in
-        // registers across the whole (co, i) reduction.
-        for (index_t s0 = 0; s0 < d.t_in; s0 += kTTile) {
-          const index_t ns = std::min(kTTile, d.t_in - s0);
-          float acc[kCoTile][kTTile] = {};
-          for (index_t co = 0; co < d.c_out; ++co) {
-            const float* dyrow = dyn + co * d.t_out;
-            for (index_t i = 0; i < d.k; ++i) {
-              float wv[kCoTile];
-              for (index_t c = 0; c < kCoTile; ++c) {
-                wv[c] = (c < nci) ? w[(co * d.c_in + ci0 + c) * d.k + i]
-                                  : 0.0F;
-              }
-              if (all_zero4(wv)) {
-                continue;
-              }
-              const index_t back = i * d.dilation;
-              const float* ds = dyrow + back;
-              if (s0 + kTTile <= d.t_out - back && ns == kTTile) {
-                const float* db = ds + s0;
-                for (index_t tt = 0; tt < kTTile; ++tt) {
-                  const float dv = db[tt];
-                  for (index_t c = 0; c < kCoTile; ++c) {
-                    acc[c][tt] += wv[c] * dv;
-                  }
-                }
-              } else {
-                const index_t hi = std::min(s0 + ns, d.t_out - back);
-                for (index_t s = s0; s < hi; ++s) {
-                  const float dv = ds[s];
-                  const index_t tt = s - s0;
-                  for (index_t c = 0; c < kCoTile; ++c) {
-                    acc[c][tt] += wv[c] * dv;
-                  }
-                }
-              }
+  const index_t row =
+      round_up(d.t_in, kInferTTile) + (d.k - 1) * d.dilation;
+  const std::vector<index_t> idx = live_taps(w, d);
+  std::vector<index_t> off;
+  for (const index_t i : idx) {
+    off.push_back(i * d.dilation);
+  }
+  const TapList taps{idx.data(), off.data(), static_cast<index_t>(idx.size())};
+#pragma omp parallel
+  {
+    float* dys = scratch(0, d.stride == 1 ? d.c_out * row : 0);
+    index_t staged = -1;
+#pragma omp for collapse(2) schedule(static)
+    for (index_t n = 0; n < d.n; ++n) {
+      for (index_t cb = 0; cb < ci_blocks; ++cb) {
+        const index_t ci0 = cb * kCoTile;
+        const index_t nci = std::min(kCoTile, d.c_in - ci0);
+        const float* dyn = dy + n * d.c_out * d.t_out;
+        float* dxn = dx + n * d.c_in * d.t_in;
+        if (d.stride == 1) {
+          if (n != staged) {
+            for (index_t co = 0; co < d.c_out; ++co) {
+              stage_phase(dyn + co * d.t_out, 0, row, 1, 0, d.t_out,
+                          dys + co * row);
+            }
+            staged = n;
+          }
+          for (index_t s0 = 0; s0 < d.t_in; s0 += kInferTTile) {
+            const index_t ns = std::min(kInferTTile, d.t_in - s0);
+            if (ns > kVf) {
+              backward_input_tile<2>(dys, w, dxn, d, taps, row, ci0, nci, s0,
+                                     ns);
+            } else {
+              backward_input_tile<1>(dys, w, dxn, d, taps, row, ci0, nci, s0,
+                                     ns);
             }
           }
-          for (index_t c = 0; c < nci; ++c) {
-            float* dxrow = dxn + (ci0 + c) * d.t_in;
-            for (index_t tt = 0; tt < ns; ++tt) {
-              dxrow[s0 + tt] += acc[c][tt];
-            }
-          }
+          continue;
         }
-      } else {
         // Strided scatter: keep the scalar loop shape, restricted to the
         // ci rows this thread owns (no cross-thread aliasing).
         for (index_t c = 0; c < nci; ++c) {
@@ -266,66 +464,57 @@ void conv_backward_input(const float* dy, const float* w, float* dx,
 void conv_backward_weight(const float* dy, const float* x, float* dw,
                           const ConvDims& d) {
   const index_t co_blocks = (d.c_out + kCoTile - 1) / kCoTile;
-#pragma omp parallel for collapse(2) schedule(static)
-  for (index_t cb = 0; cb < co_blocks; ++cb) {
+  const index_t q_max = ((d.k - 1) * d.dilation + d.stride - 1) / d.stride;
+  const index_t phase_len = q_max + round_up(d.t_out, kVf);
+  const index_t t_full = d.t_out / kVf * kVf;
+  // Each cell owns one input channel: it stages that channel of every
+  // sample once, then sweeps every (co block, tap block) over it.
+#pragma omp parallel
+  {
+    float* xs = scratch(0, d.n * d.stride * phase_len);
+    float* tails = scratch(1, t_full < d.t_out ? d.n * kCoTile * kVf : 0);
+#pragma omp for schedule(static)
     for (index_t ci = 0; ci < d.c_in; ++ci) {
-      const index_t co0 = cb * kCoTile;
-      const index_t nco = std::min(kCoTile, d.c_out - co0);
-      for (index_t i = 0; i < d.k; ++i) {
-        const index_t back = i * d.dilation;
-        const index_t t0 = (back + d.stride - 1) / d.stride;
-        float total[kCoTile] = {};
-        for (index_t n = 0; n < d.n; ++n) {
-          const float* xrow = x + (n * d.c_in + ci) * d.t_in;
-          const float* dyp[kCoTile];
-          for (index_t c = 0; c < kCoTile; ++c) {
-            // Clamp out-of-range rows to a valid one; their accumulator
-            // lanes are discarded below.
-            const index_t co = co0 + std::min(c, nco - 1);
-            dyp[c] = dy + (n * d.c_out + co) * d.t_out;
-          }
-          // Per-batch partial rounded separately (close to the scalar
-          // reference's accumulation order). The dot product is a serial
-          // FP dependency chain the vectoriser must not reorder, so split
-          // it into kLanes explicit accumulators — independent chains the
-          // compiler can SLP-vectorise into one FMA stream per row.
-          float acc[kCoTile] = {};
-          if (d.stride == 1) {
-            const float* xs = xrow - back;
-            float accv[kCoTile][kLanes] = {};
-            index_t t = t0;
-            for (; t + kLanes <= d.t_out; t += kLanes) {
-              for (index_t c = 0; c < kCoTile; ++c) {
-                for (index_t l = 0; l < kLanes; ++l) {
-                  accv[c][l] += dyp[c][t + l] * xs[t + l];
-                }
-              }
-            }
-            for (; t < d.t_out; ++t) {
-              const float xv = xs[t];
-              for (index_t c = 0; c < kCoTile; ++c) {
-                acc[c] += dyp[c][t] * xv;
-              }
-            }
+      for (index_t n = 0; n < d.n; ++n) {
+        const float* xrow = x + (n * d.c_in + ci) * d.t_in;
+        for (index_t r = 0; r < d.stride; ++r) {
+          stage_phase(xrow, -q_max, phase_len, d.stride, r, d.t_in,
+                      xs + (n * d.stride + r) * phase_len);
+        }
+      }
+      for (index_t cb = 0; cb < co_blocks; ++cb) {
+        const index_t co0 = cb * kCoTile;
+        const index_t nco = std::min(kCoTile, d.c_out - co0);
+        if (t_full < d.t_out) {
+          for (index_t n = 0; n < d.n; ++n) {
             for (index_t c = 0; c < kCoTile; ++c) {
-              for (index_t l = 0; l < kLanes; ++l) {
-                acc[c] += accv[c][l];
-              }
+              const index_t co = co0 + std::min(c, nco - 1);
+              stage_phase(dy + (n * d.c_out + co) * d.t_out, t_full, kVf, 1,
+                          0, d.t_out, tails + (n * kCoTile + c) * kVf);
             }
-          } else {
-            for (index_t t = t0; t < d.t_out; ++t) {
-              const float xv = xrow[t * d.stride - back];
-              for (index_t c = 0; c < kCoTile; ++c) {
-                acc[c] += dyp[c][t] * xv;
-              }
-            }
-          }
-          for (index_t c = 0; c < kCoTile; ++c) {
-            total[c] += acc[c];
           }
         }
-        for (index_t c = 0; c < nco; ++c) {
-          dw[((co0 + c) * d.c_in + ci) * d.k + i] += total[c];
+        for (index_t i0 = 0; i0 < d.k; i0 += kTapTile) {
+          switch (std::min<index_t>(kTapTile, d.k - i0)) {
+#ifdef __AVX512F__
+            case 4:
+              backward_weight_block<4>(dy, xs, tails, dw, d, co0, nco, ci, i0,
+                                       q_max, phase_len);
+              break;
+            case 3:
+              backward_weight_block<3>(dy, xs, tails, dw, d, co0, nco, ci, i0,
+                                       q_max, phase_len);
+              break;
+#endif
+            case 2:
+              backward_weight_block<2>(dy, xs, tails, dw, d, co0, nco, ci, i0,
+                                       q_max, phase_len);
+              break;
+            default:
+              backward_weight_block<1>(dy, xs, tails, dw, d, co0, nco, ci, i0,
+                                       q_max, phase_len);
+              break;
+          }
         }
       }
     }

@@ -3,17 +3,20 @@
 // Two backends implement the same contract:
 //   - scalar:  the original single-threaded triple-loop, kept as the
 //              bit-exact reference every other backend is tested against.
-//   - blocked: output-channel x time register tiling with a contiguous
-//              stride-1 fast path, parallelised with OpenMP over the
-//              batch x c_out grid (forward / backward-input over the
-//              batch x c_in grid; backward-weight over c_out blocks so
-//              every thread owns its output slice and no reduction race
-//              exists).
+//   - blocked: register-resident vector tiles, parallelised with OpenMP:
+//              forward over the batch x c_out-block grid, backward-input
+//              over the batch x c_in-block grid, backward-weight over
+//              c_in, so every thread owns its output slice and no
+//              reduction race exists.
 //
 // All kernels *accumulate* into their outputs, so callers zero-fill.
-// Taps whose weights are exactly zero (PIT masks broadcast a zero over
-// every channel pair of a pruned tap) are skipped by both backends, so
-// pruning pays off during the search too.
+// In forward and backward-input, both backends skip zero-weight taps:
+// scalar per weight, blocked per tap that is zero across every channel
+// pair (what a PIT mask makes of a pruned tap), so pruning pays off
+// during the search too. Backward-weight computes every tap: the mask
+// gradient of the prune phase reads dW at pruned taps. Once a layer's mask is frozen it runs as the compact
+// dilated conv instead (core::dilated_causal_conv1d), so pruned taps cost
+// nothing in any pass.
 //
 // The free functions at the top level resolve Backend::kAuto per call:
 // an explicit override (set_default_backend or the PIT_CONV_BACKEND

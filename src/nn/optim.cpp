@@ -67,29 +67,39 @@ Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
 
 void Adam::step() {
   ++step_count_;
+  // One fp32 pass per parameter with the bias corrections hoisted:
+  //   p -= (lr / bc1) * m / (sqrt(v) / sqrt(bc2) + eps) + lr * wd * p,
+  // which is lr * m_hat / (sqrt(v_hat) + eps) rearranged (the form
+  // PyTorch uses), plus the decoupled (AdamW) decay.
   const double bc1 = 1.0 - std::pow(beta1_, step_count_);
   const double bc2 = 1.0 - std::pow(beta2_, step_count_);
+  const auto b1 = static_cast<float>(beta1_);
+  const auto b2 = static_cast<float>(beta2_);
+  const auto one_minus_b1 = static_cast<float>(1.0 - beta1_);
+  const auto one_minus_b2 = static_cast<float>(1.0 - beta2_);
+  const auto step_size = static_cast<float>(lr_ / bc1);
+  const auto inv_sqrt_bc2 = static_cast<float>(1.0 / std::sqrt(bc2));
+  const auto eps = static_cast<float>(eps_);
+  const auto decay = static_cast<float>(lr_ * weight_decay_);
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    auto pv = p.span();
-    const float* g = p.grad_data();
+    auto pv = params_[i].span();
     auto& m = m_[i];
     auto& v = v_[i];
     if (m.empty()) {
       m.assign(pv.size(), 0.0F);
       v.assign(pv.size(), 0.0F);
     }
-    for (std::size_t j = 0; j < pv.size(); ++j) {
-      const double grad = g[j];
-      m[j] = static_cast<float>(beta1_ * m[j] + (1.0 - beta1_) * grad);
-      v[j] = static_cast<float>(beta2_ * v[j] + (1.0 - beta2_) * grad * grad);
-      const double mhat = m[j] / bc1;
-      const double vhat = v[j] / bc2;
-      double update = lr_ * mhat / (std::sqrt(vhat) + eps_);
-      if (weight_decay_ != 0.0) {
-        update += lr_ * weight_decay_ * pv[j];  // decoupled (AdamW)
-      }
-      pv[j] -= static_cast<float>(update);
+    float* p = pv.data();
+    const float* g = params_[i].grad_data();
+    float* mp = m.data();
+    float* vp = v.data();
+    const std::size_t count = pv.size();
+    for (std::size_t j = 0; j < count; ++j) {
+      const float grad = g[j];
+      mp[j] = b1 * mp[j] + one_minus_b1 * grad;
+      vp[j] = b2 * vp[j] + one_minus_b2 * grad * grad;
+      p[j] -= step_size * mp[j] / (std::sqrt(vp[j]) * inv_sqrt_bc2 + eps) +
+              decay * p[j];
     }
   }
 }

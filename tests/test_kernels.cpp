@@ -156,7 +156,23 @@ INSTANTIATE_TEST_SUITE_P(
         // time extent crossing the 32-wide tile boundary unevenly
         KernelCase{2, 3, 5, 5, 67, 2, 1, true, 0},
         // big-ish batched shape (exercises the OpenMP grid)
-        KernelCase{16, 8, 12, 9, 128, 2, 1, true, 0}),
+        KernelCase{16, 8, 12, 9, 128, 2, 1, true, 0},
+        // t_out shorter than one 16-float SIMD word, dilated and strided
+        KernelCase{3, 5, 6, 4, 7, 2, 1, true, 0},
+        KernelCase{2, 3, 5, 3, 11, 1, 2, false, 0},
+        // The seven seed convs of the scaled TEMPONet search (n32, t 64 /
+        // 32 / 16, k 5 / 9 / 17), plus pruned-tap variants of each size.
+        KernelCase{32, 4, 8, 5, 64, 1, 1, true, 0},
+        KernelCase{32, 8, 8, 5, 64, 1, 1, true, 0},
+        KernelCase{32, 8, 16, 5, 64, 1, 1, true, 0},
+        KernelCase{32, 8, 16, 5, 64, 1, 1, true, 2},
+        KernelCase{32, 16, 16, 9, 32, 1, 1, true, 0},
+        KernelCase{32, 16, 16, 9, 32, 1, 1, true, 5},
+        KernelCase{32, 16, 32, 17, 16, 1, 1, true, 0},
+        KernelCase{32, 32, 32, 17, 16, 1, 1, true, 0},
+        KernelCase{32, 32, 32, 17, 16, 1, 1, true, 9},
+        // the compact dilated conv a frozen search layer runs (k_eff 3, d 8)
+        KernelCase{32, 32, 32, 3, 16, 8, 1, true, 0}),
     [](const ::testing::TestParamInfo<KernelCase>& info) {
       std::ostringstream os;
       os << info.param;

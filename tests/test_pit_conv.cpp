@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/mask.hpp"
 #include "models/restcn.hpp"
 #include "nn/conv1d.hpp"
@@ -176,6 +180,100 @@ TEST(PitConv, FreezeStopsGammaGradAndKeepsOutput) {
     wnorm += std::abs(g);
   }
   EXPECT_GT(wnorm, 0.0F);
+}
+
+/// Output, dx and dW of sum(conv(x) * r) for a frozen-path or masked-path
+/// conv over fresh leaves (x, w, b) copied from the given values.
+struct ConvGrads {
+  std::vector<float> y, dx, dw;
+};
+
+std::vector<float> values(const Tensor& t) {
+  return std::vector<float>(t.data(), t.data() + t.numel());
+}
+
+template <typename Conv>
+ConvGrads conv_grads(const Tensor& x0, const Tensor& w0, const Tensor& b0,
+                     const Tensor& r, Conv conv) {
+  Tensor x = x0.clone();
+  Tensor w = w0.clone();
+  Tensor b = b0.clone();
+  x.set_requires_grad(true);
+  w.set_requires_grad(true);
+  b.set_requires_grad(true);
+  Tensor y = conv(x, w, b);
+  sum(mul(y, r)).backward();
+  return {values(y), values(x.grad()), values(w.grad())};
+}
+
+void expect_rel_close(const std::vector<float>& want,
+                      const std::vector<float>& got, const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_NEAR(want[i], got[i], 1e-5F * std::max(1.0F, std::abs(want[i])))
+        << what << " diverges at flat index " << i;
+  }
+}
+
+TEST(PitConv, FrozenLayerRunsAsDilatedConvAndMatchesMaskedPath) {
+  // Large enough (n16, t48) that every dilation runs the blocked kernels.
+  for (const index_t d : {1, 2, 4}) {
+    SCOPED_TRACE(d);
+    RandomEngine rng(401 + static_cast<std::uint64_t>(d));
+    PITConv1d layer(3, 5, 9, {}, rng);
+    layer.gamma().set_dilation(d);
+    layer.freeze_gamma();
+    Tensor x = Tensor::randn(Shape{16, 3, 48}, rng);
+    Tensor r = Tensor::randn(Shape{16, 5, 48}, rng);
+    const ConvGrads frozen =
+        conv_grads(x, layer.weight(), layer.bias(), r,
+                   [&](const Tensor& xx, const Tensor& w, const Tensor& b) {
+                     return dilated_causal_conv1d(xx, w, b, d,
+                                                  (9 - 1) / d + 1, 1);
+                   });
+    const Tensor mask = Tensor::from_vector(mask_for_dilation(d, 9), Shape{9});
+    const ConvGrads masked =
+        conv_grads(x, layer.weight(), layer.bias(), r,
+                   [&](const Tensor& xx, const Tensor& w, const Tensor& b) {
+                     return masked_causal_conv1d(xx, w, b, mask, 1);
+                   });
+    expect_rel_close(masked.y, frozen.y, "output");
+    expect_rel_close(masked.dx, frozen.dx, "dx");
+    expect_rel_close(masked.dw, frozen.dw, "dW");
+    for (std::size_t i = 0; i < frozen.dw.size(); ++i) {
+      if (static_cast<index_t>(i % 9) % d != 0) {
+        ASSERT_EQ(frozen.dw[i], 0.0F) << "pruned tap got a gradient at " << i;
+      }
+    }
+    // The layer's own frozen forward is that same dilated conv.
+    expect_rel_close(frozen.y, values(layer.forward(x)), "layer forward");
+  }
+}
+
+TEST(PitConv, SingleTapMaskRunsAsPointwiseConv) {
+  const std::vector<float> m = {1.0F, 0.0F, 0.0F, 0.0F, 0.0F};
+  RandomEngine rng(409);
+  Tensor x = Tensor::randn(Shape{4, 2, 20}, rng);
+  Tensor w = Tensor::randn(Shape{3, 2, 5}, rng);
+  Tensor b = Tensor::randn(Shape{3}, rng);
+  Tensor r = Tensor::randn(Shape{4, 3, 20}, rng);
+  const Tensor mask = Tensor::from_vector(m, Shape{5});
+  const ConvGrads frozen = conv_grads(
+      x, w, b, r, [&](const Tensor& xx, const Tensor& ww, const Tensor& bb) {
+        return dilated_causal_conv1d(xx, ww, bb, 1, 1, 1);
+      });
+  const ConvGrads masked = conv_grads(
+      x, w, b, r, [&](const Tensor& xx, const Tensor& ww, const Tensor& bb) {
+        return masked_causal_conv1d(xx, ww, bb, mask, 1);
+      });
+  expect_rel_close(masked.y, frozen.y, "output");
+  expect_rel_close(masked.dx, frozen.dx, "dx");
+  expect_rel_close(masked.dw, frozen.dw, "dW");
+  for (std::size_t i = 0; i < frozen.dw.size(); ++i) {
+    if (i % 5 != 0) {
+      ASSERT_EQ(frozen.dw[i], 0.0F) << "pruned tap got a gradient at " << i;
+    }
+  }
 }
 
 TEST(PitConv, StridePropagates) {
